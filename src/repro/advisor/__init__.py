@@ -25,8 +25,7 @@ CLI: ``python -m repro advise --jobs workload.jsonl --apply`` (or
 ``--trace run.jsonl --metrics metrics.json`` for the offline path).
 
 The single-program :class:`BlockSizeAdvisor` (paper §7 / Figure 3(a))
-lives on in :mod:`~repro.advisor.blocksize`; its old home
-``repro.extensions.blocksize`` is a deprecation shim.
+lives on in :mod:`~repro.advisor.blocksize`.
 """
 
 from .analyzers import (ANALYZERS, AdvisorContext, Analyzer,

@@ -11,7 +11,7 @@ Built-in analyzers, in the order they run:
 
 * :class:`BlockGeometryAnalyzer` — re-cost each job template under every
   divisor-compatible block-geometry rescaling at fixed logical size
-  (generalizing the old ``repro.extensions.blocksize`` sweep, which varied
+  (generalizing the :mod:`~repro.advisor.blocksize` sweep, which varies
   the *problem*, not the blocking); recommend the best one.
 * :class:`MaterializationAnalyzer` — split templates at each intermediate
   array; when several jobs would share the producer prefix (same prefix-

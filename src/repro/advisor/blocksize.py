@@ -1,7 +1,5 @@
 """Single-program block-size advisor (paper Section 7, Figure 3(a)).
 
-Historically this lived in :mod:`repro.extensions.blocksize`; it is now
-part of the advisor subsystem (that module remains as a deprecation shim).
 The workload-level generalization is
 :class:`repro.advisor.analyzers.BlockGeometryAnalyzer`, which rescales the
 block geometry of every job template *at fixed logical array size* and

@@ -6,6 +6,8 @@ Public surface:
 * :func:`run_program` — storage setup + plan execution + output readback,
   with optional fault injection, checkpointing, and resume;
 * :func:`execute_plan` — the inner loop over an :class:`ExecutablePlan`;
+  between the two sits ``executor.run_job``, the internal job runner that
+  ``run_program`` and both :mod:`repro.service` backends share;
 * :class:`ExecutionReport` — measured I/O, simulated seconds, CPU time;
 * :class:`ExecutionJournal` / :func:`plan_fingerprint` — the instance-level
   checkpoint log behind ``resume=True``;

@@ -21,17 +21,19 @@ the buffer pool.  Blocks the plan holds across that boundary are re-warmed
 from disk; if a held block's newest version was memory-only (WRITE_SKIP),
 the resume point rewinds to the instance that produced it.
 
-``run_program`` is the one-call convenience: creates (or, resuming,
-reopens) stores on a simulated disk, loads inputs, executes, and reads
-outputs back for verification.
+``run_job`` is the one path from a planned job to its outputs — open or
+create the stores, wrap them for attribution, build the executable plan,
+journal, execute, read back, close — shared by ``run_program`` (make a
+disk, run, validate) and both backends of :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,7 +51,8 @@ from .journal import ExecutionJournal, plan_fingerprint
 from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
 
-__all__ = ["ExecutionReport", "execute_plan", "run_program"]
+__all__ = ["ExecutionReport", "CountingStore", "STORE_FACTORIES",
+           "execute_plan", "run_job", "run_program"]
 
 JOURNAL_NAME = "execution.journal"
 
@@ -421,6 +424,195 @@ def _no_loader(key):
     return fail
 
 
+#: Store layouts a job's arrays can live in, with the on-disk file that
+#: marks an existing store of that format (the resume probe).
+STORE_FACTORIES = {"daf": (DAFMatrix, ".daf"), "labtree": (LABTree, ".labt")}
+
+
+class CountingStore:
+    """Per-job I/O attribution proxy around one store.
+
+    A shared disk's counters aggregate every concurrent job; this proxy
+    counts the *logical* block I/O this job issued (fault-retry and
+    checksum-healing re-reads stay global-only).  The job's prefetch
+    reader threads and its compute thread both count here, hence the lock.
+    Every job on every backend runs through it — that shared
+    implementation is what makes their attribution comparable at all.
+    """
+
+    __slots__ = ("store", "breaker", "read_bytes", "write_bytes", "read_ops",
+                 "write_ops", "_lock")
+
+    def __init__(self, store, breaker=None):
+        self.store = store
+        # Degradation-mode circuit breaker: N consecutive persistent
+        # failures on this store trip it open, and every later access
+        # fails fast with CircuitOpen instead of burning retry budget.
+        self.breaker = breaker
+        self.read_bytes = self.write_bytes = 0
+        self.read_ops = self.write_ops = 0
+        self._lock = threading.Lock()
+
+    @property
+    def layout(self):
+        return self.store.layout
+
+    def _guarded(self, fn):
+        if self.breaker is None:
+            return fn()
+        self.breaker.allow()
+        try:
+            out = fn()
+        except StorageError:
+            # Only persistent storage failures reach here — the disk's
+            # retry policy has already absorbed what it could.
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        return out
+
+    def read_block(self, coords, count: bool = True):
+        block = self._guarded(
+            lambda: self.store.read_block(coords, count=count))
+        if count:
+            with self._lock:
+                self.read_bytes += self.store.layout.block_bytes
+                self.read_ops += 1
+        return block
+
+    def read_block_run(self, start_coords, nblocks: int, count: bool = True):
+        blocks, extra = self._guarded(
+            lambda: self.store.read_block_run(start_coords, nblocks,
+                                              count=count))
+        if count:
+            with self._lock:
+                self.read_bytes += nblocks * self.store.layout.block_bytes
+                self.read_ops += nblocks
+        return blocks, extra
+
+    def write_block(self, coords, block, count: bool = True) -> None:
+        self._guarded(
+            lambda: self.store.write_block(coords, block, count=count))
+        if count:
+            with self._lock:
+                self.write_bytes += self.store.layout.block_bytes
+                self.write_ops += 1
+
+
+def run_job(program: Program, params: Mapping[str, int], plan: Plan,
+            inputs: Mapping[str, np.ndarray], disk: SimulatedDisk, *,
+            formats: Mapping[str, str],
+            names: "Mapping[str, str] | None" = None,
+            catalog: "tuple[dict, threading.Lock] | None" = None,
+            breaker_for: Callable[[str], object] = lambda name: None,
+            journal_path: "Path | None" = None, resume: bool = False,
+            pool: BufferPool | None = None,
+            memory_cap_bytes: int | None = None, plan_exact: bool = True,
+            prefetch_depth: int = 0,
+            prefetch_budget_bytes: int | None = None,
+            cancel: "CancelToken | None" = None
+            ) -> tuple[ExecutionReport, dict[str, np.ndarray], IOStats,
+                       ExecutablePlan]:
+    """Execute one planned job on ``disk``: the only job runner there is.
+
+    ``run_program`` and both :mod:`repro.service` backends call this, so
+    what a job does to storage is the same by construction; the arguments
+    are what genuinely differs between them:
+
+    * ``formats`` / ``names`` — per logical array, the store's layout (a
+      :data:`STORE_FACTORIES` key) and on-disk name (default: the logical);
+    * ``catalog`` — ``(stores, lock)``: INPUT stores shared across jobs,
+      keyed by on-disk name, each opened or ingested once under the lock
+      and owned by the catalog's owner; without a catalog inputs are this
+      job's own, like every other array;
+    * ``breaker_for`` — circuit breaker (or ``None``) per on-disk name;
+    * ``journal_path`` — checkpoint every instance there; with ``resume``
+      and an existing journal the job's own stores are rolled back to
+      their pre-write images, reopened, and execution continues from the
+      last consistent instance;
+    * ``pool`` — the pool to run on, else a private one capped at
+      ``memory_cap_bytes``.
+
+    Returns the report (``report.io`` is the *disk's* delta, retries and
+    healing re-reads included), the dense OUTPUT arrays, the I/O this job
+    itself issued (its :class:`CountingStore` sums) and the executable
+    plan.  The job's own stores are closed on every way out; their files
+    stay, for resume or for the caller to remove.
+    """
+    exec_plan = build_executable_plan(program, params, plan)
+    if names is None:
+        names = {lname: lname for lname in program.arrays}
+    journal = None
+    resuming = False
+    if journal_path is not None:
+        journal = ExecutionJournal(journal_path, plan_fingerprint(exec_plan))
+        resuming = resume and Path(journal_path).exists()
+    shared = {n for n, arr in program.arrays.items()
+              if catalog is not None and arr.kind is ArrayKind.INPUT}
+    if resuming:
+        # The interrupted attempt may have died mid-write.  Scoped to this
+        # job's files: on a shared disk, concurrent jobs have genuinely
+        # in-flight undo records of their own.
+        own = tuple(names[n] + "." for n in program.arrays if n not in shared)
+        disk.recover(match=lambda fname: fname.startswith(own))
+
+    def open_store(lname: str, reuse: bool):
+        arr = program.arrays[lname]
+        factory, marker = STORE_FACTORIES[formats[lname]]
+        if reuse and disk.exists(names[lname] + marker):
+            return factory.open(disk, names[lname])
+        store = factory.create(disk, names[lname], arr.num_blocks(params),
+                               arr.block_shape,
+                               {8: np.float64, 4: np.float32}[arr.dtype_bytes])
+        if arr.kind is ArrayKind.INPUT:
+            if lname not in inputs:
+                raise ExecutionError(f"missing input matrix {lname!r}")
+            store.write_matrix(inputs[lname], count=False)
+        elif factory is DAFMatrix:
+            # Block-by-block zero fill: unwritten regions read as zeros
+            # without ever materializing the dense matrix (LAB-tree blocks
+            # materialize on first write).
+            store.preallocate()
+        return store
+
+    stores: dict[str, object] = {}
+    try:
+        for lname in program.arrays:
+            if lname in shared:
+                datasets, lock = catalog
+                with lock:
+                    if names[lname] not in datasets:
+                        datasets[names[lname]] = open_store(lname, reuse=True)
+                    stores[lname] = datasets[names[lname]]
+            else:
+                stores[lname] = open_store(lname, reuse=resuming)
+        counted = {n: CountingStore(s, breaker_for(names[n]))
+                   for n, s in stores.items()}
+        report = execute_plan(exec_plan, counted, disk, memory_cap_bytes,
+                              plan_exact, journal=journal, resume=resuming,
+                              pool=pool, prefetch_depth=prefetch_depth,
+                              prefetch_budget_bytes=prefetch_budget_bytes,
+                              cancel=cancel)
+        outputs = {n: stores[n].read_matrix(count=False)
+                   for n, arr in program.arrays.items()
+                   if arr.kind is ArrayKind.OUTPUT}
+    finally:
+        # A kernel or storage error mid-plan must still leave the disk
+        # cleanly closeable: flush whatever store state exists (best
+        # effort — the original exception stays the loud one).
+        for lname, store in stores.items():
+            if lname not in shared:
+                try:
+                    store.close()
+                except StorageError:
+                    pass
+    job_io = IOStats()
+    job_io.add(**{f: sum(getattr(c, f) for c in counted.values())
+                  for f in ("read_bytes", "write_bytes", "read_ops",
+                            "write_ops")})
+    return report, outputs, job_io, exec_plan
+
+
 def run_program(program: Program, params: Mapping[str, int], plan: Plan,
                 workdir, inputs: Mapping[str, np.ndarray],
                 io_model: IOModel | None = None,
@@ -494,8 +686,7 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
     * ``pace_channels`` — cap concurrent paced transfers per disk/shard
       (``None`` = historical unbounded pacing).
     """
-    factory = {"daf": DAFMatrix, "labtree": LABTree}.get(store_format)
-    if factory is None:
+    if store_format not in STORE_FACTORIES:
         raise ExecutionError(f"unknown store format {store_format!r}")
 
     per_shard_injectors = None
@@ -509,12 +700,7 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
         atomic_writes = injector is not None \
             or per_shard_injectors is not None or checkpoint or resume
     workdir = Path(workdir)
-    exec_plan = build_executable_plan(program, params, plan)
-    journal = None
-    if checkpoint or resume:
-        journal = ExecutionJournal(workdir / JOURNAL_NAME,
-                                   plan_fingerprint(exec_plan))
-    resuming = resume and (workdir / JOURNAL_NAME).exists()
+    journal_path = workdir / JOURNAL_NAME if checkpoint or resume else None
 
     want_validation = validate is not False
     tolerance = float(validate) if not isinstance(validate, bool) else 0.0
@@ -536,62 +722,26 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
                                     - plan.cost.memory_bytes)
 
     model = io_model or IOModel()
-    disk_kw: dict = {}
-    if stripe_bytes is not None:
-        disk_kw["stripe_bytes"] = stripe_bytes
-    if per_shard_injectors is not None:
-        if shards <= 1:
-            raise ExecutionError(
-                "per-shard fault injectors need shards > 1")
-        disk_kw["fault_injectors"] = per_shard_injectors
-    with scope, make_disk(workdir, shards, io_model=model, pace=io_pace,
+    if per_shard_injectors is not None and shards <= 1:
+        raise ExecutionError("per-shard fault injectors need shards > 1")
+    with scope, make_disk(workdir, shards, stripe_bytes=stripe_bytes,
+                          io_model=model, pace=io_pace,
                           pace_channels=pace_channels,
-                          fault_injector=injector, retry=retry,
-                          atomic_writes=atomic_writes, **disk_kw) as disk:
-        stores: dict[str, object] = {}
-        try:
-            if resuming:
-                # Roll interrupted writes back to their pre-write images
-                # before any store opens a handle.
-                disk.recover()
-                for name in program.arrays:
-                    stores[name] = factory.open(disk, name)
-            else:
-                for name, arr in program.arrays.items():
-                    store = factory.create(disk, name, arr.num_blocks(params),
-                                           arr.block_shape)
-                    stores[name] = store
-                    if arr.kind is ArrayKind.INPUT:
-                        if name not in inputs:
-                            raise ExecutionError(f"missing input matrix {name!r}")
-                        store.write_matrix(inputs[name], count=False)
-                    elif isinstance(store, DAFMatrix):
-                        # Block-by-block zero fill: unwritten regions read as
-                        # zeros without ever materializing the dense matrix
-                        # (LAB-tree blocks materialize on first write).
-                        store.preallocate()
-
-            with obs_trace.span("run_program", "engine",
-                                program=program.name, plan=plan.index,
-                                plan_exact=plan_exact, resume=resuming):
-                report = execute_plan(exec_plan, stores, disk,
-                                      memory_cap_bytes, plan_exact,
-                                      journal=journal, resume=resuming,
-                                      prefetch_depth=prefetch_depth,
-                                      prefetch_budget_bytes=prefetch_budget_bytes)
-
-            outputs = {name: stores[name].read_matrix(count=False)
-                       for name, arr in program.arrays.items()
-                       if arr.kind is ArrayKind.OUTPUT}
-        finally:
-            # A kernel or storage error mid-plan must still leave the disk
-            # context cleanly closeable: flush whatever store state exists
-            # (best effort — the original exception stays the loud one).
-            for store in stores.values():
-                try:
-                    store.close()
-                except StorageError:
-                    pass
+                          fault_injector=injector,
+                          fault_injectors=per_shard_injectors, retry=retry,
+                          atomic_writes=atomic_writes) as disk, \
+            obs_trace.span("run_program", "engine", program=program.name,
+                           plan=plan.index, plan_exact=plan_exact,
+                           resume=resume and journal_path.exists()):
+        # The disk is this run's alone: every array (inputs included) in
+        # ``store_format``, nothing shared.
+        report, outputs, _, exec_plan = run_job(
+            program, params, plan, inputs, disk,
+            formats=dict.fromkeys(program.arrays, store_format),
+            journal_path=journal_path, resume=resume,
+            memory_cap_bytes=memory_cap_bytes, plan_exact=plan_exact,
+            prefetch_depth=prefetch_depth,
+            prefetch_budget_bytes=prefetch_budget_bytes)
 
     if want_validation:
         note = ""

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Mapping
 
 __all__ = ["SCHEMA_VERSION", "Counter", "Gauge", "Histogram",
-           "MetricsRegistry", "read_snapshot", "install", "uninstall", "use",
-           "CURRENT"]
+           "MetricsRegistry", "StatFields", "read_snapshot", "install",
+           "uninstall", "use", "CURRENT"]
 
 #: Version of the JSON snapshot-document schema written by
 #: :meth:`MetricsRegistry.write_snapshot`.  Documents carry it as ``"v"``;
@@ -100,6 +100,46 @@ class Gauge(Counter):
 
     def dec(self, n: float = 1) -> None:
         self.value -= n
+
+
+class StatFields:
+    """Base for stat holders whose public fields are *thin views* over
+    instruments: a subclass names its fields in ``_COUNTERS`` / ``_GAUGES``
+    and calls :meth:`_init_stats` when constructed; each field then reads
+    and writes the ``.value`` of the instrument kept in ``_<field>`` — the
+    very object :meth:`bind` hands to a registry."""
+
+    __slots__ = ()
+    _COUNTERS: tuple[str, ...] = ()
+    _GAUGES: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+
+        def view(attr: str) -> property:
+            def fget(self):
+                return getattr(self, attr).value
+
+            def fset(self, value):
+                getattr(self, attr).value = value
+
+            return property(fget, fset)
+
+        for field in cls._COUNTERS + cls._GAUGES:
+            setattr(cls, field, view("_" + field))
+
+    def _init_stats(self, prefix: str) -> None:
+        for f in self._COUNTERS:
+            setattr(self, "_" + f, Counter(prefix + f))
+        for f in self._GAUGES:
+            setattr(self, "_" + f, Gauge(prefix + f))
+
+    def bind(self, registry: "MetricsRegistry", **labels) -> None:
+        """Adopt this holder's instruments into ``registry`` under ``labels``."""
+        for f in self._COUNTERS + self._GAUGES:
+            inst = getattr(self, "_" + f)
+            inst.labels = dict(labels)
+            registry.register(inst)
 
 
 class Histogram:

@@ -33,7 +33,7 @@ __all__ = ["enumerate_feasible_sets", "enumerate_and_cost_pruned",
            "generate_level_candidates", "AprioriStats"]
 
 
-class AprioriStats:
+class AprioriStats(obs_metrics.StatFields):
     """Search accounting: how much of the power set was pruned.
 
     Besides the aggregate counters, the search records per-level detail
@@ -62,10 +62,7 @@ class AprioriStats:
         "workers", "worker_tasks")
 
     def __init__(self):
-        for f in self._COUNTERS:
-            setattr(self, "_" + f, obs_metrics.Counter("repro_apriori_" + f))
-        for f in self._GAUGES:
-            setattr(self, "_" + f, obs_metrics.Gauge("repro_apriori_" + f))
+        self._init_stats("repro_apriori_")
         self.truncated = False
         self.level_candidates: dict[int, int] = {}
         self.level_feasible: dict[int, int] = {}
@@ -84,13 +81,6 @@ class AprioriStats:
         # parallel layer — pools restarted after a BrokenProcessPool, and
         # levels/costings that fell back to the driver when a restarted
         # pool broke again.
-
-    def bind(self, registry: "obs_metrics.MetricsRegistry", **labels) -> None:
-        """Adopt this search's instruments into ``registry`` under ``labels``."""
-        for f in self._COUNTERS + self._GAUGES:
-            inst = getattr(self, "_" + f)
-            inst.labels = dict(labels)
-            registry.register(inst)
 
     @property
     def pruned_fraction(self) -> float:
@@ -119,23 +109,6 @@ class AprioriStats:
         return (f"AprioriStats(tested={self.candidates_tested}/{self.total_subsets}, "
                 f"feasible={self.feasible}, pruned={self.pruned_fraction:.1%}, "
                 f"{self.seconds:.2f}s{par})")
-
-
-def _stat_view(field: str) -> property:
-    attr = "_" + field
-
-    def fget(self):
-        return getattr(self, attr).value
-
-    def fset(self, value):
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
-
-
-for _f in AprioriStats._COUNTERS + AprioriStats._GAUGES:
-    setattr(AprioriStats, _f, _stat_view(_f))
-del _f
 
 
 def generate_level_candidates(feasible_prev: Iterable[frozenset[int]],

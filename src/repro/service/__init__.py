@@ -17,14 +17,14 @@ Public surface:
   shared-pool facade, exposed for tests and instrumentation.
 """
 
+from ..engine.executor import CountingStore
 from .chaos import ChaosReport, run_chaos
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (CircuitBreaker, DegradePolicy, HealthController,
                          JobRetryPolicy, classify_error)
 from .service import (ArrayService, JobHandle, JobPoolView, JobResult,
                       ServiceStats)
-from .workers import (CountingStore, WorkerJobSpec, WorkerOutcome,
-                      run_worker_job)
+from .workers import WorkerJobSpec, WorkerOutcome, run_worker_job
 
 __all__ = [
     "ArrayService",

@@ -104,7 +104,7 @@ def optimization_fingerprint(program: Program, params: Mapping[str, int],
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class PlanCache:
+class PlanCache(obs_metrics.StatFields):
     """Directory of saved best plans, one ``<fingerprint>.json`` per entry.
 
     ``hits``/``misses`` are thin views over metrics counters (the service
@@ -117,18 +117,11 @@ class PlanCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        for f in self._COUNTERS:
-            setattr(self, "_" + f, obs_metrics.Counter("repro_plan_cache_" + f))
+        self._init_stats("repro_plan_cache_")
         self._lock = threading.Lock()
         registry = obs_metrics.CURRENT
         if registry is not None:
             self.bind(registry, cache=registry.seq("plan_cache"))
-
-    def bind(self, registry: obs_metrics.MetricsRegistry, **labels) -> None:
-        for f in self._COUNTERS:
-            inst = getattr(self, "_" + f)
-            inst.labels = dict(labels)
-            registry.register(inst)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -195,20 +188,3 @@ class PlanCache:
     def __repr__(self) -> str:
         return (f"PlanCache({self.root}, {len(self)} plans, "
                 f"hits={self.hits}, misses={self.misses})")
-
-
-def _stat_view(field: str) -> property:
-    attr = "_" + field
-
-    def fget(self):
-        return getattr(self, attr).value
-
-    def fset(self, value):
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
-
-
-for _f in PlanCache._COUNTERS:
-    setattr(PlanCache, _f, _stat_view(_f))
-del _f

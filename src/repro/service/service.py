@@ -65,38 +65,30 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from ..cancel import CancelToken
-from ..codegen.exec_plan import build_executable_plan
-from ..engine.executor import ExecutionReport, execute_plan
-from ..engine.journal import ExecutionJournal, plan_fingerprint
+from ..engine.executor import STORE_FACTORIES, ExecutionReport, run_job
 from ..exceptions import (AdmissionRejected, AdmissionTimeout,
                           DeadlineExceeded, JobCancelled, OptimizationError,
                           ServiceClosed, ServiceError, ServiceOverloaded,
-                          ServiceQueueFull, StorageError)
+                          ServiceQueueFull)
 from ..ir import ArrayKind, Program
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..optimizer import IOModel, Optimizer
 from ..optimizer.plan import Plan
-from ..storage import (DAFMatrix, FaultInjector, IOStats, RetryPolicy,
+from ..storage import (DAFMatrix, FaultInjector, RetryPolicy,
                        SharedBufferPool, make_disk)
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
                          HealthController, JobRetryPolicy)
-from .workers import (STORE_FACTORIES, CountingStore, WorkerJobSpec,
-                      cleanup_jobdir, run_worker_job)
+from .workers import WorkerJobSpec, cleanup_jobdir, run_worker_job
 
 __all__ = ["ArrayService", "JobHandle", "JobResult", "ServiceStats",
            "JobPoolView"]
 
 _UNSET = object()
 
-#: Compatibility aliases — the implementations moved to
-#: :mod:`repro.service.workers` so both backends share them.
-_STORE_FACTORIES = STORE_FACTORIES
-_CountingStore = CountingStore
 
-
-class ServiceStats:
+class ServiceStats(obs_metrics.StatFields):
     """Service-level accounting, thin views over metrics instruments."""
 
     _COUNTERS = ("jobs_submitted", "jobs_completed", "jobs_failed",
@@ -115,10 +107,7 @@ class ServiceStats:
     __slots__ = tuple("_" + f for f in _COUNTERS + _GAUGES) + ("job_seconds",)
 
     def __init__(self):
-        for f in self._COUNTERS:
-            setattr(self, "_" + f, obs_metrics.Counter("repro_service_" + f))
-        for f in self._GAUGES:
-            setattr(self, "_" + f, obs_metrics.Gauge("repro_service_" + f))
+        self._init_stats("repro_service_")
         self.job_seconds = obs_metrics.Histogram(
             "repro_service_job_seconds", buckets=self._LATENCY_BUCKETS)
         registry = obs_metrics.CURRENT
@@ -126,10 +115,7 @@ class ServiceStats:
             self.bind(registry, service=registry.seq("service"))
 
     def bind(self, registry: obs_metrics.MetricsRegistry, **labels) -> None:
-        for f in self._COUNTERS + self._GAUGES:
-            inst = getattr(self, "_" + f)
-            inst.labels = dict(labels)
-            registry.register(inst)
+        super().bind(registry, **labels)
         self.job_seconds.labels = dict(labels)
         registry.register(self.job_seconds)
 
@@ -137,23 +123,6 @@ class ServiceStats:
         return (f"ServiceStats(submitted={self.jobs_submitted}, "
                 f"completed={self.jobs_completed}, failed={self.jobs_failed}, "
                 f"rejected={self.jobs_rejected})")
-
-
-def _stat_view(field: str) -> property:
-    attr = "_" + field
-
-    def fget(self):
-        return getattr(self, attr).value
-
-    def fset(self, value):
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
-
-
-for _f in ServiceStats._COUNTERS + ServiceStats._GAUGES:
-    setattr(ServiceStats, _f, _stat_view(_f))
-del _f
 
 
 class JobPoolView:
@@ -385,14 +354,12 @@ class ArrayService:
         self._retry = retry
         if atomic_writes is None:
             atomic_writes = injector is not None
-        disk_kw: dict = {}
-        if stripe_bytes is not None:
-            disk_kw["stripe_bytes"] = stripe_bytes
         self.disk = make_disk(self.workdir, self.shards,
+                              stripe_bytes=stripe_bytes,
                               io_model=self.io_model, pace=io_pace,
                               pace_channels=pace_channels,
                               fault_injector=injector, retry=retry,
-                              atomic_writes=atomic_writes, **disk_kw)
+                              atomic_writes=atomic_writes)
         if atomic_writes:
             # A previous service process may have died mid-write; roll torn
             # regions back before any job opens a store.
@@ -419,9 +386,9 @@ class ArrayService:
             store_format = {"default": store_format}
         self.store_format = {str(k): str(v) for k, v in store_format.items()}
         for fmt in self.store_format.values():
-            if fmt not in _STORE_FACTORIES:
+            if fmt not in STORE_FACTORIES:
                 raise ServiceError(f"unknown store format {fmt!r} "
-                                   f"(known: {sorted(_STORE_FACTORIES)})")
+                                   f"(known: {sorted(STORE_FACTORIES)})")
         self.stats = ServiceStats()
 
         self._executor = ThreadPoolExecutor(workers,
@@ -430,6 +397,7 @@ class ArrayService:
         # (plan, admit, retry, accounting); only the admitted execution is
         # dispatched here.  Sized with the thread pool so every driver can
         # have a worker.
+        self._worker_count = workers
         self._workers = ProcessPoolExecutor(max_workers=workers) \
             if backend == "procs" else None
         self._adm = threading.Condition()
@@ -687,65 +655,24 @@ class ArrayService:
     # -- storage namespace --------------------------------------------------
 
     @staticmethod
-    def _dataset_digest(data: np.ndarray, block_shape: tuple,
-                        dtype: np.dtype) -> str:
-        canon = np.ascontiguousarray(data, dtype=dtype)
+    def _dataset_name(data: np.ndarray, arr) -> str:
+        canon = np.ascontiguousarray(data, dtype=f"f{arr.dtype_bytes}")
         h = hashlib.sha256()
         h.update(repr((canon.dtype.str, canon.shape,
-                       tuple(block_shape))).encode())
+                       arr.block_shape)).encode())
         h.update(canon.tobytes())
-        return h.hexdigest()[:16]
+        return f"ds_{h.hexdigest()[:16]}"
 
-    def _format_for(self, lname: str) -> tuple[type, str]:
-        fmt = self.store_format.get(lname,
-                                    self.store_format.get("default", "daf"))
-        return _STORE_FACTORIES[fmt]
-
-    def _setup_stores(self, job: _Job, resuming: bool
-                      ) -> tuple[dict[str, DAFMatrix], dict[str, str]]:
-        """Open/create every array's store; returns (stores, name map).
-
-        INPUT arrays land in the content-addressed shared catalog — one
-        store per distinct (content, geometry), written once, never per
-        job.  Everything else is private under ``<job>__<array>`` in the
-        layout ``store_format`` picks for that array: DAF preallocates its
-        dense extent up front, LAB-tree materializes blocks on first write
-        (no setup traffic; unwritten blocks occupy no disk).
-        """
-        stores: dict[str, DAFMatrix] = {}
-        names: dict[str, str] = {}
-        for lname, arr in job.program.arrays.items():
-            dtype = {8: np.float64, 4: np.float32}[arr.dtype_bytes]
-            grid = arr.num_blocks(job.params)
-            if arr.kind is ArrayKind.INPUT:
-                if lname not in job.inputs:
-                    raise ServiceError(f"missing input matrix {lname!r}")
-                digest = self._dataset_digest(job.inputs[lname],
-                                              arr.block_shape, dtype)
-                gname = f"ds_{digest}"
-                with self._lock:
-                    store = self._datasets.get(gname)
-                    if store is None:
-                        if self.disk.exists(gname + ".daf"):
-                            store = DAFMatrix.open(self.disk, gname)
-                        else:
-                            store = DAFMatrix.create(self.disk, gname, grid,
-                                                     arr.block_shape, dtype)
-                            store.write_matrix(job.inputs[lname], count=False)
-                        self._datasets[gname] = store
-            else:
-                factory, marker = self._format_for(lname)
-                gname = f"{job.key}__{lname}"
-                if resuming and self.disk.exists(gname + marker):
-                    store = factory.open(self.disk, gname)
-                else:
-                    store = factory.create(self.disk, gname, grid,
-                                           arr.block_shape, dtype)
-                    if factory is DAFMatrix:
-                        store.preallocate()
-            stores[lname] = store
-            names[lname] = gname
-        return stores, names
+    def _store_names(self, job: _Job) -> dict[str, str]:
+        """On-disk store name per logical array: the module docstring's
+        "key namespacing" on the shared disk; on a worker's private disk
+        nothing can collide, so logical names are used as-is."""
+        if self._workers is not None:
+            return {lname: lname for lname in job.program.arrays}
+        return {
+            lname: self._dataset_name(job.inputs[lname], arr)
+            if arr.kind is ArrayKind.INPUT else f"{job.key}__{lname}"
+            for lname, arr in job.program.arrays.items()}
 
     # -- the job pipeline ---------------------------------------------------
 
@@ -829,15 +756,8 @@ class ArrayService:
                                       attempt=attempt,
                                       error=type(err).__name__)
                     self._retry_backoff(job, attempt)
-                    # The failed attempt may have died mid-write: roll this
-                    # job's stale undo records back before stores reopen.
-                    # Scoped to the job's private files — concurrent jobs
-                    # have genuinely in-flight undos of their own.
-                    if self.disk.atomic_writes:
-                        prefix = f"{job.key}__"
-                        self.disk.recover(
-                            match=lambda n: n.startswith(prefix))
-                    # Re-enter through the journal: only unfinished
+                    # Re-enter through the journal: run_job rolls back the
+                    # writes the failed attempt died in, and only unfinished
                     # instances re-execute.
                     job.resume = True
                     attempt += 1
@@ -888,6 +808,9 @@ class ArrayService:
                 raise ServiceClosed("service shut down during retry backoff")
 
     def _execute_admitted(self, job: _Job, sp) -> JobResult:
+        for lname, arr in job.program.arrays.items():
+            if arr.kind is ArrayKind.INPUT and lname not in job.inputs:
+                raise ServiceError(f"missing input matrix {lname!r}")
         with obs_trace.span("service.plan", "service", job=job.key):
             plan, cache_hit, opt_seconds = self._plan_job(job)
         # Pin the plan on the job so a retry replays the *same* plan: the
@@ -906,11 +829,11 @@ class ArrayService:
         # The prefetch staging budget is real memory the job will occupy in
         # the shared pool, so admission charges for it alongside the plan's
         # high-water mark — staged blocks never eat other jobs' promises.
-        prefetch_budget = 0
+        prefetch_budget = None
         if depth:
             prefetch_budget = depth * max(
                 arr.block_bytes for arr in job.program.arrays.values())
-        need = plan.cost.memory_bytes + prefetch_budget
+        need = plan.cost.memory_bytes + (prefetch_budget or 0)
         sp["plan"] = plan.index
         sp["cache_hit"] = cache_hit
         sp["need_bytes"] = need
@@ -921,51 +844,72 @@ class ArrayService:
             self._admit(need, job.admission_timeout, cancel=job.token)
         wait = time.monotonic() - t0
         self.stats.active_jobs += 1
-        if self._workers is not None:
-            try:
-                return self._execute_in_worker(job, sp, plan, cache_hit,
-                                               opt_seconds, wait, depth,
-                                               prefetch_budget)
-            finally:
-                self.stats.active_jobs -= 1
-                self._release_admission(need)
-        private_prefix = f"{job.key}__"
         try:
-            exec_plan = build_executable_plan(job.program, job.params, plan)
+            names = self._store_names(job)
+            # INPUT datasets stay DAF whatever ``store_format`` says (see
+            # __init__); every other array takes its configured layout.
+            formats = {
+                lname: ("daf" if arr.kind is ArrayKind.INPUT
+                        else self.store_format.get(
+                            lname, self.store_format.get("default", "daf")))
+                for lname, arr in job.program.arrays.items()}
             jobdir = self.workdir / "jobs" / job.key
-            journal = None
-            resuming = False
-            if job.checkpoint or job.resume:
+            journaled = job.checkpoint or job.resume
+            if journaled or self._workers is not None:
                 jobdir.mkdir(parents=True, exist_ok=True)
-                jpath = jobdir / "execution.journal"
-                journal = ExecutionJournal(jpath, plan_fingerprint(exec_plan))
-                resuming = job.resume and jpath.exists()
-            stores, names = self._setup_stores(job, resuming)
-            counted = {n: _CountingStore(s, breaker=self.health.breaker_for(
-                           names[n])) for n, s in stores.items()}
-            view = JobPoolView(self.pool, names, owner=job.key)
+            with obs_trace.span("service.execute", "service", job=job.key,
+                                backend=self.backend):
+                if self._workers is None:
+                    report, outputs, io, _ = run_job(
+                        job.program, job.params, plan, job.inputs, self.disk,
+                        formats=formats, names=names,
+                        catalog=(self._datasets, self._lock),
+                        breaker_for=self.health.breaker_for,
+                        journal_path=jobdir / "execution.journal"
+                        if journaled else None, resume=job.resume,
+                        pool=JobPoolView(self.pool, names, owner=job.key),
+                        plan_exact=job.plan_exact, prefetch_depth=depth,
+                        prefetch_budget_bytes=prefetch_budget,
+                        cancel=job.token)
+                    # A 1000-job run must not accumulate 1000 private
+                    # stores.  A journaled job keeps its own: the journal
+                    # outlives the run, and resuming a finished job replays
+                    # nothing — over fresh stores that would read as zeros.
+                    if not journaled:
+                        for lname, arr in job.program.arrays.items():
+                            if arr.kind is not ArrayKind.INPUT:
+                                factory, _ = STORE_FACTORIES[formats[lname]]
+                                factory.remove(self.disk, names[lname])
+                else:
+                    spec = WorkerJobSpec(
+                        job=job.key, program=job.program, params=job.params,
+                        inputs=job.inputs, plan=plan,
+                        plan_exact=job.plan_exact, jobdir=str(jobdir),
+                        store_formats=formats, shards=self.shards,
+                        stripe_bytes=self.stripe_bytes,
+                        io_model=self.io_model, pace=self.io_pace,
+                        pace_channels=self.pace_channels,
+                        fault_injector=self._fault_injector,
+                        retry=self._retry,
+                        atomic_writes=self.disk.atomic_writes,
+                        checkpoint=job.checkpoint, resume=job.resume,
+                        prefetch_depth=depth,
+                        prefetch_budget_bytes=prefetch_budget,
+                        # The worker's private pool gets the full service
+                        # budget the way an isolated run would; admission
+                        # already charged this job's plan high-water mark
+                        # against the global pie.
+                        pool_cap_bytes=self.memory_cap_bytes,
+                        deadline_remaining=job.token.remaining(),
+                        collect_metrics=obs_metrics.CURRENT is not None)
+                    report, outputs, io = self._run_in_worker(job, spec)
+                    # A 1000-job run must not accumulate 1000 private input
+                    # copies; failed attempts keep theirs for resume-retry.
+                    cleanup_jobdir(jobdir)
 
-            with obs_trace.span("service.execute", "service", job=job.key):
-                report = execute_plan(exec_plan, counted, self.disk,
-                                      plan_exact=job.plan_exact,
-                                      journal=journal, resume=resuming,
-                                      pool=view,
-                                      prefetch_depth=depth,
-                                      prefetch_budget_bytes=prefetch_budget
-                                      if depth else None,
-                                      cancel=job.token)
-            outputs = {n: stores[n].read_matrix(count=False)
-                       for n, arr in job.program.arrays.items()
-                       if arr.kind is ArrayKind.OUTPUT}
-
-            # The in-executor report drew on the *shared* disk counters —
-            # polluted by whatever ran concurrently.  Re-attribute from the
-            # per-job proxies (assignable slots on the report).
-            io = IOStats()
-            io.add(read_bytes=sum(c.read_bytes for c in counted.values()),
-                   write_bytes=sum(c.write_bytes for c in counted.values()),
-                   read_ops=sum(c.read_ops for c in counted.values()),
-                   write_ops=sum(c.write_ops for c in counted.values()))
+            # The in-executor report drew on the *disk's* counters —
+            # polluted, on the shared disk, by whatever ran concurrently.
+            # Re-attribute from the per-job proxies.
             report.io = io
             report.simulated_io_seconds = self.io_model.seconds(
                 io.read_bytes, io.write_bytes)
@@ -981,7 +925,7 @@ class ArrayService:
                     max_set_size=self.max_set_size,
                     max_candidates=self.max_candidates)
                 sp["params"] = dict(job.params)
-                sp["arrays"] = dict(names)
+                sp["arrays"] = names
                 sp["plan_exact"] = job.plan_exact
                 sp["prefetch_depth"] = depth
                 sp["memory_bytes"] = plan.cost.memory_bytes
@@ -995,114 +939,66 @@ class ArrayService:
                 sp["pool_misses"] = report.pool_misses
                 sp["optimize_seconds"] = opt_seconds
                 sp["admission_wait_seconds"] = wait
+                sp["backend"] = self.backend
             return JobResult(job.key, outputs, report, plan, cache_hit,
                              opt_seconds, wait)
         finally:
             # Crash-or-finish sweep: drop any pins the job still holds,
             # then evict its private blocks so the budget it vacates is
             # actually reusable.  Shared dataset blocks stay — they are the
-            # inter-query sharing capital.
+            # inter-query sharing capital.  (A worker-process job never
+            # touched this pool: both calls find nothing.)
             leaked = self.pool.release_owner(job.key)
             if leaked:
                 self.stats.pins_reclaimed += leaked
                 obs_trace.instant("service.pins_reclaimed", "service",
                                   job=job.key, pins=leaked)
+            private_prefix = f"{job.key}__"
             self.pool.drop_matching(
                 lambda k: isinstance(k[0], str)
                 and k[0].startswith(private_prefix), force=True)
             self.stats.active_jobs -= 1
             self._release_admission(need)
 
-    # -- process-backend execution -------------------------------------------
-
-    def _execute_in_worker(self, job: _Job, sp, plan: Plan, cache_hit: bool,
-                           opt_seconds: float, wait: float, depth: int,
-                           prefetch_budget: int) -> JobResult:
-        """Dispatch one admitted job to the worker process pool.
+    def _run_in_worker(self, job: _Job, spec: WorkerJobSpec) -> tuple:
+        """Ship one admitted job to the worker pool, merge its accounting
+        home, and return ``(report, outputs, job I/O)`` as ``run_job`` does.
 
         The spec carries the pinned plan, so the worker never re-plans; a
-        retry attempt re-enters here with ``job.resume=True`` and the
-        worker resumes through the journal in the job directory, exactly
-        like the thread backend.  Cancellation is coarser than threads: a
-        cancel flagged mid-attempt lands only if the attempt fails —
-        deadlines, though, are enforced *inside* the worker by its own
-        token, so an expired job dies at its next instance boundary.
+        retry attempt ships ``resume=True`` and the worker resumes through
+        the journal in the job directory, exactly like the thread backend.
+        Cancellation is coarser than threads: a cancel flagged mid-attempt
+        lands only if the attempt fails — deadlines, though, are enforced
+        *inside* the worker by its own token, so an expired job dies at its
+        next instance boundary.
         """
         job.token.check()
-        jobdir = self.workdir / "jobs" / job.key
-        jobdir.mkdir(parents=True, exist_ok=True)
-        formats = {
-            lname: ("daf" if arr.kind is ArrayKind.INPUT
-                    else self.store_format.get(
-                        lname, self.store_format.get("default", "daf")))
-            for lname, arr in job.program.arrays.items()}
-        registry = obs_metrics.CURRENT
-        spec = WorkerJobSpec(
-            job=job.key, program=job.program, params=job.params,
-            inputs=job.inputs, plan=plan, plan_exact=job.plan_exact,
-            jobdir=str(jobdir), store_formats=formats,
-            shards=self.shards, stripe_bytes=self.stripe_bytes,
-            io_model=self.io_model, pace=self.io_pace,
-            pace_channels=self.pace_channels,
-            fault_injector=self._fault_injector, retry=self._retry,
-            atomic_writes=self.disk.atomic_writes,
-            checkpoint=job.checkpoint, resume=job.resume,
-            prefetch_depth=depth,
-            prefetch_budget_bytes=prefetch_budget if depth else None,
-            # The worker's private pool gets the full service budget the
-            # way an isolated run would; admission already charged this
-            # job's plan high-water mark against the global pie.
-            pool_cap_bytes=self.memory_cap_bytes,
-            deadline_remaining=job.token.remaining(),
-            collect_metrics=registry is not None)
-        with obs_trace.span("service.execute", "service", job=job.key,
-                            backend="procs"):
-            try:
-                outcome = self._workers.submit(run_worker_job, spec).result()
-            except BrokenExecutor as err:
-                raise ServiceError(
-                    f"worker process pool broke while running {job.key!r} "
-                    f"(worker crash or OOM)") from err
-        report = outcome.to_report(self.io_model)
-
+        workers = self._workers
+        try:
+            outcome = workers.submit(run_worker_job, spec).result()
+        except BrokenExecutor as err:
+            # One dead worker breaks a stdlib pool for good.  Whichever job
+            # notices first swaps in a fresh pool, so only the jobs that
+            # were on the broken one fail.
+            with self._lock:
+                if self._workers is workers and not self._closed:
+                    self._workers = ProcessPoolExecutor(
+                        max_workers=self._worker_count)
+                    workers.shutdown(wait=False)
+            raise ServiceError(
+                f"worker process pool broke while running {job.key!r} "
+                f"(worker crash or OOM)") from err
         # Merge the worker's accounting home.  With metrics installed the
         # whole worker registry merges — its disk/pool series carry the
         # same (name, labels) the thread backend increments directly, so
         # process-backend exposition totals match.  Without metrics, the
         # logical disk traffic still folds into the service disk's stats.
+        registry = obs_metrics.CURRENT
         if outcome.registry is not None and registry is not None:
             registry.merge(outcome.registry)
         else:
             self.disk.stats.merge(outcome.disk_stats)
-
-        if obs_trace.CURRENT is not None:
-            cap = job.memory_cap_bytes if job.memory_cap_bytes is not None \
-                else self.memory_cap_bytes
-            sp["fingerprint"] = optimization_fingerprint(
-                job.program, job.params, cap, self.io_model,
-                max_set_size=self.max_set_size,
-                max_candidates=self.max_candidates)
-            sp["params"] = dict(job.params)
-            sp["arrays"] = {n: n for n in job.program.arrays}
-            sp["plan_exact"] = job.plan_exact
-            sp["prefetch_depth"] = depth
-            sp["memory_bytes"] = plan.cost.memory_bytes
-            sp["predicted_read_bytes"] = plan.cost.read_bytes
-            sp["predicted_write_bytes"] = plan.cost.write_bytes
-            sp["read_bytes"] = report.io.read_bytes
-            sp["write_bytes"] = report.io.write_bytes
-            sp["read_ops"] = report.io.read_ops
-            sp["write_ops"] = report.io.write_ops
-            sp["pool_hits"] = report.pool_hits
-            sp["pool_misses"] = report.pool_misses
-            sp["optimize_seconds"] = opt_seconds
-            sp["admission_wait_seconds"] = wait
-            sp["backend"] = "procs"
-        # A 1000-job run must not accumulate 1000 private stores; failed
-        # attempts keep theirs for resume-retry.
-        cleanup_jobdir(jobdir)
-        return JobResult(job.key, outcome.outputs, report, plan, cache_hit,
-                         opt_seconds, wait)
+        return outcome.report, outcome.outputs, outcome.io
 
     # -- introspection ------------------------------------------------------
 

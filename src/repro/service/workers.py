@@ -11,12 +11,12 @@ path runs each *admitted* job in a worker process instead:
   worker receives a fully planned, admitted job;
 * the job ships as a picklable :class:`WorkerJobSpec` and comes back as a
   picklable :class:`WorkerOutcome`;
-* the worker executes against its **own private disk** under the job
-  directory (sharded exactly like the service disk) and its own buffer
-  pool, then returns outputs, per-job I/O attribution from the same
-  :class:`CountingStore` proxies the thread backend uses, a mergeable
-  :class:`~repro.storage.IOStats` snapshot of its logical disk traffic,
-  and (when the parent has metrics installed) its whole pickled
+* the worker runs the job through :func:`repro.engine.executor.run_job` —
+  the very function the thread backend calls — against its **own private
+  disk** under the job directory (sharded exactly like the service disk)
+  and its own buffer pool, then returns what ``run_job`` returned plus a
+  mergeable :class:`~repro.storage.IOStats` snapshot of its logical disk
+  traffic and (when the parent has metrics installed) its whole pickled
   :class:`~repro.obs.metrics.MetricsRegistry` — the parent *merges* both,
   so process-backend totals land on the same series the thread backend
   would have counted.
@@ -34,98 +34,15 @@ deadlines are enforced *inside* the worker via its own token.
 from __future__ import annotations
 
 import shutil
-import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 from ..cancel import CancelToken
-from ..codegen.exec_plan import build_executable_plan
-from ..engine.executor import ExecutionReport, execute_plan
-from ..engine.journal import ExecutionJournal, plan_fingerprint
-from ..exceptions import StorageError
-from ..ir import ArrayKind
+from ..engine.executor import run_job
 from ..obs import metrics as obs_metrics
-from ..optimizer import IOModel
-from ..storage import DAFMatrix, IOStats, LABTree, make_disk
+from ..storage import make_disk
 
-__all__ = ["CountingStore", "WorkerJobSpec", "WorkerOutcome",
-           "run_worker_job", "STORE_FACTORIES"]
-
-#: Private-store layouts the service can synthesize, with the on-disk file
-#: that marks an existing store of that format (the resume probe).
-STORE_FACTORIES = {"daf": (DAFMatrix, ".daf"), "labtree": (LABTree, ".labt")}
-
-
-class CountingStore:
-    """Per-job I/O attribution proxy around one store.
-
-    The shared disk's counters aggregate every concurrent job; this proxy
-    counts the *logical* block I/O this job issued (fault-retry and
-    checksum-healing re-reads stay global-only).  The job's prefetch
-    reader threads and its compute thread both count here, hence the lock.
-    Used identically by both backends — that shared implementation is what
-    makes their attribution comparable at all.
-    """
-
-    __slots__ = ("store", "breaker", "read_bytes", "write_bytes", "read_ops",
-                 "write_ops", "_lock")
-
-    def __init__(self, store, breaker=None):
-        self.store = store
-        # Degradation-mode circuit breaker: N consecutive persistent
-        # failures on this store trip it open, and every later access
-        # fails fast with CircuitOpen instead of burning retry budget.
-        self.breaker = breaker
-        self.read_bytes = self.write_bytes = 0
-        self.read_ops = self.write_ops = 0
-        self._lock = threading.Lock()
-
-    @property
-    def layout(self):
-        return self.store.layout
-
-    def _guarded(self, fn):
-        if self.breaker is None:
-            return fn()
-        self.breaker.allow()
-        try:
-            out = fn()
-        except StorageError:
-            # Only persistent storage failures reach here — the disk's
-            # retry policy has already absorbed what it could.
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return out
-
-    def read_block(self, coords, count: bool = True):
-        block = self._guarded(
-            lambda: self.store.read_block(coords, count=count))
-        if count:
-            with self._lock:
-                self.read_bytes += self.store.layout.block_bytes
-                self.read_ops += 1
-        return block
-
-    def read_block_run(self, start_coords, nblocks: int, count: bool = True):
-        blocks, extra = self._guarded(
-            lambda: self.store.read_block_run(start_coords, nblocks,
-                                              count=count))
-        if count:
-            with self._lock:
-                self.read_bytes += nblocks * self.store.layout.block_bytes
-                self.read_ops += nblocks
-        return blocks, extra
-
-    def write_block(self, coords, block, count: bool = True) -> None:
-        self._guarded(
-            lambda: self.store.write_block(coords, block, count=count))
-        if count:
-            with self._lock:
-                self.write_bytes += self.store.layout.block_bytes
-                self.write_ops += 1
+__all__ = ["WorkerJobSpec", "WorkerOutcome", "run_worker_job"]
 
 
 class WorkerJobSpec:
@@ -148,78 +65,16 @@ class WorkerJobSpec:
         for f in self.__slots__:
             setattr(self, f, kw[f])
 
-    def __getstate__(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for f, v in state.items():
-            setattr(self, f, v)
-
 
 class WorkerOutcome:
-    """What a worker hands back: outputs plus mergeable accounting."""
+    """What a worker hands back: :func:`run_job`'s outputs, report and
+    per-job I/O as they are, plus the worker disk's mergeable accounting."""
 
-    __slots__ = ("outputs", "io", "disk_stats", "shard_read_bytes",
-                 "simulated_io_seconds", "cpu_seconds", "wall_seconds",
-                 "peak_memory_bytes", "pool_hits", "pool_misses",
-                 "instances", "resumed_from", "registry")
+    __slots__ = ("outputs", "report", "io", "disk_stats", "registry")
 
     def __init__(self, **kw):
         for f in self.__slots__:
             setattr(self, f, kw[f])
-
-    def __getstate__(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for f, v in state.items():
-            setattr(self, f, v)
-
-    def to_report(self, io_model: IOModel) -> ExecutionReport:
-        """Rebuild the parent-side :class:`ExecutionReport`, attribution
-        already re-pointed at this job's own counts."""
-        io = IOStats()
-        io.add(**{f: n for f, n in self.io.items() if n})
-        report = ExecutionReport(
-            io, io_model.seconds(io.read_bytes, io.write_bytes),
-            self.cpu_seconds, self.wall_seconds, self.peak_memory_bytes,
-            self.pool_hits, self.pool_misses, self.instances,
-            self.resumed_from)
-        return report
-
-
-def _worker_stores(spec: WorkerJobSpec, disk, resuming: bool) -> dict:
-    """Open/create the job's stores on its private worker disk.
-
-    Unlike the service's shared namespace there is nothing to collide
-    with, so logical array names are used as-is.  INPUT matrices are
-    written (uncounted) each time — the price of process isolation; see
-    the module docstring.
-    """
-    stores: dict[str, object] = {}
-    for lname, arr in spec.program.arrays.items():
-        dtype = {8: np.float64, 4: np.float32}[arr.dtype_bytes]
-        grid = arr.num_blocks(spec.params)
-        if arr.kind is ArrayKind.INPUT:
-            if lname not in spec.inputs:
-                raise StorageError(f"missing input matrix {lname!r}")
-            if disk.exists(lname + ".daf"):
-                store = DAFMatrix.open(disk, lname)
-            else:
-                store = DAFMatrix.create(disk, lname, grid,
-                                         arr.block_shape, dtype)
-                store.write_matrix(spec.inputs[lname], count=False)
-        else:
-            factory, marker = STORE_FACTORIES[spec.store_formats[lname]]
-            if resuming and disk.exists(lname + marker):
-                store = factory.open(disk, lname)
-            else:
-                store = factory.create(disk, lname, grid,
-                                       arr.block_shape, dtype)
-                if factory is DAFMatrix:
-                    store.preallocate()
-        stores[lname] = store
-    return stores
 
 
 def run_worker_job(spec: WorkerJobSpec) -> WorkerOutcome:
@@ -234,64 +89,27 @@ def run_worker_job(spec: WorkerJobSpec) -> WorkerOutcome:
     token = CancelToken(
         deadline=(time.monotonic() + spec.deadline_remaining)
         if spec.deadline_remaining is not None else None)
-    with obs_metrics.use(registry):
-        diskdir = Path(spec.jobdir) / "store"
-        disk_kw: dict = {}
-        if spec.stripe_bytes is not None:
-            disk_kw["stripe_bytes"] = spec.stripe_bytes
-        with make_disk(diskdir, spec.shards, io_model=spec.io_model,
-                       pace=spec.pace, pace_channels=spec.pace_channels,
-                       fault_injector=spec.fault_injector, retry=spec.retry,
-                       atomic_writes=spec.atomic_writes, **disk_kw) as disk:
-            exec_plan = build_executable_plan(spec.program, spec.params,
-                                              spec.plan)
-            journal = None
-            resuming = False
-            if spec.checkpoint or spec.resume:
-                jpath = Path(spec.jobdir) / "execution.journal"
-                journal = ExecutionJournal(jpath, plan_fingerprint(exec_plan))
-                resuming = spec.resume and jpath.exists()
-            if resuming and disk.atomic_writes:
-                # The previous attempt may have died mid-write.
-                disk.recover()
-            stores = _worker_stores(spec, disk, resuming)
-            counted = {n: CountingStore(s) for n, s in stores.items()}
-            try:
-                report = execute_plan(
-                    exec_plan, counted, disk,
-                    memory_cap_bytes=spec.pool_cap_bytes,
-                    plan_exact=spec.plan_exact,
-                    journal=journal, resume=resuming,
-                    prefetch_depth=spec.prefetch_depth,
-                    prefetch_budget_bytes=spec.prefetch_budget_bytes,
-                    cancel=token)
-                outputs = {n: stores[n].read_matrix(count=False)
-                           for n, arr in spec.program.arrays.items()
-                           if arr.kind is ArrayKind.OUTPUT}
-            finally:
-                for store in stores.values():
-                    try:
-                        store.close()
-                    except StorageError:
-                        pass
-            shard_read = [s.read_bytes for s in disk.shard_stats()] \
-                if hasattr(disk, "shard_stats") else []
-            return WorkerOutcome(
-                outputs=outputs,
-                io={"read_bytes": sum(c.read_bytes for c in counted.values()),
-                    "write_bytes": sum(c.write_bytes
-                                       for c in counted.values()),
-                    "read_ops": sum(c.read_ops for c in counted.values()),
-                    "write_ops": sum(c.write_ops for c in counted.values())},
-                disk_stats=disk.stats.snapshot(),
-                shard_read_bytes=shard_read,
-                simulated_io_seconds=report.simulated_io_seconds,
-                cpu_seconds=report.cpu_seconds,
-                wall_seconds=report.wall_seconds,
-                peak_memory_bytes=report.peak_memory_bytes,
-                pool_hits=report.pool_hits, pool_misses=report.pool_misses,
-                instances=report.instances, resumed_from=report.resumed_from,
-                registry=registry)
+    jobdir = Path(spec.jobdir)
+    with obs_metrics.use(registry), \
+            make_disk(jobdir / "store", spec.shards,
+                      stripe_bytes=spec.stripe_bytes, io_model=spec.io_model,
+                      pace=spec.pace, pace_channels=spec.pace_channels,
+                      fault_injector=spec.fault_injector, retry=spec.retry,
+                      atomic_writes=spec.atomic_writes) as disk:
+        # Nothing to collide with on a private disk, so logical array
+        # names are used as-is, and INPUT matrices are written (uncounted)
+        # by each job — the price of process isolation.
+        report, outputs, io, _ = run_job(
+            spec.program, spec.params, spec.plan, spec.inputs, disk,
+            formats=spec.store_formats,
+            journal_path=jobdir / "execution.journal"
+            if spec.checkpoint or spec.resume else None,
+            resume=spec.resume, memory_cap_bytes=spec.pool_cap_bytes,
+            plan_exact=spec.plan_exact, prefetch_depth=spec.prefetch_depth,
+            prefetch_budget_bytes=spec.prefetch_budget_bytes, cancel=token)
+        return WorkerOutcome(outputs=outputs, report=report, io=io,
+                             disk_stats=disk.stats.snapshot(),
+                             registry=registry)
 
 
 def cleanup_jobdir(jobdir: str | Path) -> None:

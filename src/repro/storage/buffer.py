@@ -47,7 +47,7 @@ class BufferedBlock:
         return f"BufferedBlock({self.key}, pins={self.pins}, dirty={self.dirty})"
 
 
-class BufferPool:
+class BufferPool(obs_metrics.StatFields):
     """LRU pool of matrix blocks under a hard byte cap.
 
     The statistics fields (``hits``/``misses``/``evictions``/``used_bytes``/
@@ -69,20 +69,10 @@ class BufferPool:
             raise BufferPoolError("cap must be positive (or None for unlimited)")
         self.cap_bytes = cap_bytes
         self._blocks: "OrderedDict[tuple, BufferedBlock]" = OrderedDict()
-        for f in self._COUNTERS:
-            setattr(self, "_" + f, obs_metrics.Counter("repro_pool_" + f))
-        for f in self._GAUGES:
-            setattr(self, "_" + f, obs_metrics.Gauge("repro_pool_" + f))
+        self._init_stats("repro_pool_")
         registry = obs_metrics.CURRENT
         if registry is not None:
             self.bind(registry, pool=registry.seq("pool"))
-
-    def bind(self, registry: obs_metrics.MetricsRegistry, **labels) -> None:
-        """Adopt this pool's instruments into ``registry`` under ``labels``."""
-        for f in self._COUNTERS + self._GAUGES:
-            inst = getattr(self, "_" + f)
-            inst.labels = dict(labels)
-            registry.register(inst)
 
     # -- residency ------------------------------------------------------------
 
@@ -320,23 +310,6 @@ class BufferPool:
         cap = "unbounded" if self.cap_bytes is None else f"{self.cap_bytes}B"
         return (f"BufferPool({len(self._blocks)} blocks, {self.used_bytes}B used, "
                 f"cap {cap}, peak {self.peak_bytes}B)")
-
-
-def _stat_view(field: str) -> property:
-    attr = "_" + field
-
-    def fget(self):
-        return getattr(self, attr).value
-
-    def fset(self, value):
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
-
-
-for _f in BufferPool._COUNTERS + BufferPool._GAUGES:
-    setattr(BufferPool, _f, _stat_view(_f))
-del _f
 
 
 class SharedBufferPool(BufferPool):

@@ -68,6 +68,12 @@ class DAFMatrix:
             raise StorageError(f"{name}: unsupported itemsize {itemsize}")
         return cls(disk, name, BlockLayout(grid, block_shape, dtype))
 
+    @classmethod
+    def remove(cls, disk: SimulatedDisk, name: str) -> None:
+        """Delete store ``name``'s files: data and checksum sidecar."""
+        for suffix in (".daf", ".daf.crc"):
+            disk.remove(name + suffix)
+
     def _write_header(self) -> None:
         vals = np.array([*self.layout.grid, *self.layout.block_shape,
                          self.layout.dtype.itemsize, 0, 0], dtype=np.int64)

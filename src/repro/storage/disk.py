@@ -43,7 +43,7 @@ _UNDO_SUFFIX = ".undo"
 _BYTE_BUCKETS = (4096, 65536, 1 << 20, 4 << 20, 16 << 20, 64 << 20)
 
 
-class IOStats:
+class IOStats(obs_metrics.StatFields):
     """Byte and operation counters for one disk.
 
     Every public field is a thin view over a
@@ -53,15 +53,14 @@ class IOStats:
     on are the numbers the exposition dump shows.
     """
 
-    _FIELDS = ("read_bytes", "write_bytes", "read_ops", "write_ops",
-               "retries", "checksum_failures")
+    _FIELDS = _COUNTERS = ("read_bytes", "write_bytes", "read_ops",
+                           "write_ops", "retries", "checksum_failures")
 
     __slots__ = tuple("_" + f for f in _FIELDS) + ("_lock", "_local",
                                                    "mirror")
 
     def __init__(self):
-        for f in self._FIELDS:
-            setattr(self, "_" + f, obs_metrics.Counter("repro_io_" + f))
+        self._init_stats("repro_io_")
         self._lock = threading.Lock()
         self._local = threading.local()
         # Optional (target IOStats, field-name tuple): deltas to the named
@@ -102,13 +101,6 @@ class IOStats:
         """
         return self._local.__dict__.get(field, 0)
 
-    def bind(self, registry: "obs_metrics.MetricsRegistry", **labels) -> None:
-        """Register this holder's counters as labeled registry series."""
-        for f in self._FIELDS:
-            counter = getattr(self, "_" + f)
-            counter.labels = dict(labels)
-            registry.register(counter)
-
     def reset(self) -> None:
         with self._lock:
             for f in self._FIELDS:
@@ -117,10 +109,8 @@ class IOStats:
     def snapshot(self) -> "IOStats":
         s = IOStats()
         with self._lock:
-            s.read_bytes, s.write_bytes = self.read_bytes, self.write_bytes
-            s.read_ops, s.write_ops = self.read_ops, self.write_ops
-            s.retries = self.retries
-            s.checksum_failures = self.checksum_failures
+            for f in self._FIELDS:
+                setattr(s, f, getattr(self, f))
         return s
 
     def merge(self, other: "IOStats") -> None:
@@ -166,22 +156,6 @@ class IOStats:
                      f"checksum_failures={self.checksum_failures}")
         return (f"IOStats(read={self.read_bytes}B/{self.read_ops}ops, "
                 f"write={self.write_bytes}B/{self.write_ops}ops{extra})")
-
-
-def _stat_view(field: str) -> property:
-    attr = "_" + field
-
-    def fget(self):
-        return getattr(self, attr).value
-
-    def fset(self, value):
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
-
-
-for _f in IOStats._FIELDS:
-    setattr(IOStats, _f, _stat_view(_f))
 
 
 class SimulatedDisk:
@@ -244,6 +218,22 @@ class SimulatedDisk:
 
     def exists(self, name: str) -> bool:
         return (self.root / name).exists()
+
+    def remove(self, name: str) -> None:
+        """Close and delete file ``name`` and any undo records pending
+        against it."""
+        with self._open_lock:
+            handle = self._files.pop(name, None)
+        if handle is not None:
+            handle.close()
+        (self.root / name).unlink(missing_ok=True)
+        # Undo records exist only where counted writes staged them; without
+        # atomic writes, skip listing a directory that may hold thousands
+        # of datasets.
+        if self.atomic_writes:
+            for undo in self.root.glob(f".*{_UNDO_SUFFIX}*"):
+                if undo.name.startswith(f".{name}@"):
+                    undo.unlink(missing_ok=True)
 
     def simulated_seconds(self, stats: IOStats | None = None) -> float:
         s = stats or self.stats
@@ -337,11 +327,11 @@ class DiskFile:
     def __init__(self, disk: SimulatedDisk, path: Path):
         self.disk = disk
         self.path = path
-        # "r+b" honours seek positions on write ("a+b" would append always);
-        # create the file first if it does not exist yet.
-        if not path.exists():
-            path.touch()
-        self._fh = open(path, "r+b")
+        # "r+b" honours seek positions on write ("a+b" would append always)
+        # but refuses a missing file, so O_CREAT does the creating — in the
+        # same system call, where exists() + touch() + open() took five.
+        self._fh = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666),
+                             "r+b")
         # Positional I/O is a seek-then-transfer pair on one shared handle;
         # concurrent executors reading different blocks of the same store
         # must not interleave the pairs.  Held only around file-handle

@@ -112,6 +112,12 @@ class LABTree:
         tree._root, tree._npages, tree._next_data = root, npages, next_data
         return tree
 
+    @classmethod
+    def remove(cls, disk: SimulatedDisk, name: str) -> None:
+        """Delete store ``name``'s files: tree pages, payloads, checksums."""
+        for suffix in (".labt", ".labd", ".labc"):
+            disk.remove(name + suffix)
+
     def _write_meta(self) -> None:
         g = self.layout.grid
         b = self.layout.block_shape

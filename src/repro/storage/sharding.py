@@ -211,6 +211,13 @@ class ShardedDisk:
     def exists(self, name: str) -> bool:
         return any(shard.exists(name) for shard in self.shards)
 
+    def remove(self, name: str) -> None:
+        """Close and delete file ``name`` on **every** shard."""
+        with self._open_lock:
+            self._files.pop(name, None)
+        for shard in self.shards:
+            shard.remove(name)
+
     def simulated_seconds(self, stats: IOStats | None = None) -> float:
         s = stats or self.stats
         return self.io_model.seconds(s.read_bytes, s.write_bytes)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro import optimize, run_program
+from repro.advisor.blocksize import BlockSizeAdvisor
 from repro.baselines import manual_best, matlab_like, scidb_like
 from repro.exceptions import OptimizationError
-from repro.extensions import BlockSizeAdvisor
 from repro.ops import add_multiply_program
 from repro.workloads import (add_multiply_config, generate_inputs,
                              linreg_config, two_matmul_config)

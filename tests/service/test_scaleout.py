@@ -11,13 +11,18 @@ The acceptance bars from ISSUE 10:
 * the service disk stripes across shards with unchanged results.
 """
 
+import os
+from concurrent.futures import BrokenExecutor
+
 import numpy as np
 import pytest
 
-from repro import add_multiply_program, optimize, reference_outputs
+from repro import (add_multiply_program, optimize, reference_outputs,
+                   run_program)
 from repro.exceptions import DeadlineExceeded, ServiceError
 from repro.obs import metrics as obs_metrics
-from repro.service import ArrayService
+from repro.ops import Pipeline
+from repro.service import ArrayService, classify_error
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 CAP = 4 << 20
@@ -52,24 +57,83 @@ def _run(svc, prog, seeds, plan):
     return [f.result(timeout=180) for f in futures]
 
 
+def _typed_program(dtype_bytes):
+    """``add_multiply`` with INPUT arrays of the given element width."""
+    p = Pipeline("add_multiply", params=("n1", "n2", "n3"))
+    a, b, d = (p.input(n, blocks=blocks, block_shape=shape,
+                       dtype_bytes=dtype_bytes)
+               for n, blocks, shape in (("A", ("n1", "n2"), (60, 40)),
+                                        ("B", ("n1", "n2"), (60, 40)),
+                                        ("D", ("n2", "n3"), (40, 50))))
+    p.mark_output(p.matmul(p.add(a, b, name="C"), d, name="E"))
+    return p.build()
+
+
+@pytest.fixture(scope="module")
+def typed(prog, best_plan):
+    """dtype_bytes -> (program, its best plan)."""
+    prog4 = _typed_program(4)
+    return {8: (prog, best_plan), 4: (prog4, optimize(prog4, P).best(CAP))}
+
+
+def _run_via(runner, prog, plan, inputs, workdir, fmt):
+    """One plan-exact job through ``run_program`` or a service backend;
+    returns (outputs, counted I/O)."""
+    if runner == "run_program":
+        report, outputs = run_program(prog, P, plan, workdir, inputs,
+                                      store_format=fmt, plan_exact=True,
+                                      validate=True)
+        assert report.validation.passed, report.validation.failures()
+        return outputs, report.io
+    with ArrayService(workdir, memory_cap_bytes=4 * CAP, workers=2,
+                      backend=runner, store_format=fmt) as svc:
+        r = svc.submit(prog, P, inputs, plan=plan,
+                       plan_exact=True).result(timeout=180)
+    return r.outputs, r.report.io
+
+
 class TestProcsParity:
-    def test_outputs_and_attribution_match_threads(self, prog, best_plan,
-                                                   tmp_path):
-        seeds = (0, 1, 2)
-        with ArrayService(tmp_path / "t", memory_cap_bytes=4 * CAP,
-                          workers=2) as svc:
-            base = _run(svc, prog, seeds, best_plan)
-        with ArrayService(tmp_path / "p", memory_cap_bytes=4 * CAP,
-                          workers=2, backend="procs") as svc:
-            procs = _run(svc, prog, seeds, best_plan)
-        for b, p in zip(base, procs):
-            for name in b.outputs:
-                assert np.array_equal(p.outputs[name], b.outputs[name])
-            # Plan-exact attribution is backend-independent.
-            assert p.report.io.read_bytes == b.report.io.read_bytes
-            assert p.report.io.write_bytes == b.report.io.write_bytes
-            assert p.report.io.read_ops == b.report.io.read_ops
-            assert p.report.io.write_ops == b.report.io.write_ops
+    @pytest.mark.parametrize("fmt,dtype_bytes", [
+        ("daf", 8), ("daf", 4), ("labtree", 8), ("labtree", 4)])
+    def test_outputs_and_attribution_match_threads(self, typed, tmp_path,
+                                                   fmt, dtype_bytes):
+        """``run_program``, the thread backend and the process backend run
+        a job through one function: same outputs, same counted I/O, and that
+        I/O is the plan's — in either store format and element width."""
+        prog, plan = typed[dtype_bytes]
+        runs = {}
+        for seed in (0, 1):
+            for runner in ("run_program", "threads", "procs"):
+                runs[runner, seed] = _run_via(
+                    runner, prog, plan, _inputs(prog, seed),
+                    tmp_path / f"{runner}{seed}", fmt)
+        for (runner, seed), (outputs, io) in runs.items():
+            base_outputs, base_io = runs["threads", seed]
+            assert outputs.keys() == base_outputs.keys()
+            for name in outputs:
+                assert np.array_equal(outputs[name], base_outputs[name])
+            # Plan-exact attribution is runner-independent ...
+            for f in ("read_bytes", "write_bytes", "read_ops", "write_ops"):
+                assert getattr(io, f) == getattr(base_io, f), (runner, f)
+            # ... and is what the optimizer costed.
+            assert io.read_bytes == plan.cost.read_bytes
+            assert io.write_bytes == plan.cost.write_bytes
+
+    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    def test_missing_input_is_a_permanent_service_error(self, prog,
+                                                        best_plan, tmp_path,
+                                                        backend):
+        inputs = _inputs(prog, 0)
+        del inputs["B"]
+        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
+                          backend=backend, job_retry=3) as svc:
+            with pytest.raises(ServiceError) as err:
+                svc.submit(prog, P, inputs, plan=best_plan).result(
+                    timeout=180)
+            assert type(err.value) is ServiceError
+            assert classify_error(err.value) != "transient"
+            assert svc.stats.retries_attempted == 0
+            assert svc.stats.jobs_failed == 1
 
     def test_procs_numerically_correct(self, prog, best_plan, tmp_path):
         inputs = _inputs(prog, 3)
@@ -157,6 +221,28 @@ class TestProcsResilience:
             fut = svc.submit(prog, P, _inputs(prog, 7), plan=best_plan)
             with pytest.raises(DeadlineExceeded):
                 fut.result(timeout=180)
+
+
+    def test_dead_worker_does_not_break_later_jobs(self, prog, best_plan,
+                                                   tmp_path):
+        def kill_a_worker(svc):
+            with pytest.raises(BrokenExecutor):
+                svc._workers.submit(os._exit, 1).result(timeout=60)
+
+        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
+                          backend="procs") as svc:
+            for seed in (0, 1):  # a second break is handled like the first
+                kill_a_worker(svc)
+                with pytest.raises(ServiceError):
+                    svc.submit(prog, P, _inputs(prog, seed),
+                               plan=best_plan).result(timeout=180)
+                r = svc.submit(prog, P, _inputs(prog, seed),
+                               plan=best_plan).result(timeout=180)
+                expected = reference_outputs(prog, P, _inputs(prog, seed))
+                for name in r.outputs:
+                    assert np.allclose(r.outputs[name], expected[name])
+            assert svc.stats.jobs_failed == 2
+            assert svc.stats.jobs_completed == 2
 
 
 class TestShardedServiceDisk:

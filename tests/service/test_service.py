@@ -14,6 +14,7 @@ The acceptance bars from the service's design:
   journal per job).
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -21,8 +22,10 @@ import pytest
 
 from repro import add_multiply_program, optimize, reference_outputs, run_program
 from repro.exceptions import (AdmissionRejected, AdmissionTimeout,
-                              ServiceClosed, ServiceError, ServiceQueueFull)
+                              ServiceClosed, ServiceError, ServiceQueueFull,
+                              StorageError)
 from repro.service import ArrayService
+from repro.storage import FaultInjector, FaultPolicy
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 CAP = 4 << 20  # generous per-job cap: every plan fits
@@ -298,6 +301,50 @@ class TestFaultToleranceComposition:
         assert again.report.resumed_from > 0
         assert again.report.instances < first.report.instances
         assert np.array_equal(first.outputs["E"], again.outputs["E"])
+
+
+class TestPrivateStoreLifetime:
+    def test_successful_jobs_leave_no_private_stores(self, prog, best_plan,
+                                                     tmp_path):
+        """Only the dataset catalog outlives a job: two fds (data +
+        checksum sidecar) per distinct input, no ``<job>__*`` file."""
+        def fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        datasets = 3 * 4  # A, B, D of four distinct seeds
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
+                          workers=2) as svc:
+            before = fds()
+            futures = [svc.submit(prog, P, _inputs(prog, i % 4),
+                                  plan=best_plan, plan_exact=True)
+                       for i in range(20)]
+            for f in futures:
+                f.result(timeout=120)
+            assert fds() - before == 2 * datasets
+            left = [p.name for p in tmp_path.rglob("*") if "__" in p.name]
+            assert left == []
+
+    def test_failed_checkpointed_job_keeps_stores_and_resumes(
+            self, prog, best_plan, tmp_path):
+        inputs = _inputs(prog, 0)
+        with ArrayService(tmp_path / "clean", memory_cap_bytes=2 * CAP) as svc:
+            clean = svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
+        # Write faults deep enough to exhaust the disk's retry budget once
+        # mid-plan, then clear.
+        injector = FaultInjector(seed=7, policies=[
+            FaultPolicy(match="probe__*", op="write", transient=1.0,
+                        after=1, max_faults=6)])
+        with ArrayService(tmp_path / "faulty", memory_cap_bytes=2 * CAP,
+                          faults=injector) as svc:
+            with pytest.raises(StorageError):
+                svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
+                        name="probe", checkpoint=True)
+            assert list((tmp_path / "faulty").glob("probe__*"))
+            again = svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
+                            name="probe", resume=True)
+        assert again.report.resumed_from > 0
+        for name in clean.outputs:
+            assert np.array_equal(again.outputs[name], clean.outputs[name])
 
 
 class TestPrefetch:

@@ -134,6 +134,35 @@ class TestDAFParity:
             assert disk.pending_undos() == []
 
 
+    @pytest.mark.parametrize("nshards", [1, 2])
+    def test_remove_deletes_one_store_everywhere(self, tmp_path, nshards):
+        """Data, sidecar and pending-undo files of the named store go, on
+        every shard; a store whose name merely starts the same stays."""
+        always = FaultInjector(seed=1, policies=[
+            FaultPolicy(match="j__C.daf", op="write", transient=1.0)])
+        with make_disk(tmp_path, nshards, stripe_bytes=4096,
+                       atomic_writes=True, fault_injector=always,
+                       retry=RetryPolicy(max_retries=0)) as disk:
+            for name in ("j__C", "j__C2"):
+                DAFMatrix.create(disk, name, (2, 2), (60, 40)).preallocate()
+            LABTree.create(disk, "j__T", (2, 2), (60, 40))
+            with pytest.raises(StorageError):  # leaves an undo record
+                DAFMatrix.open(disk, "j__C").write_block(
+                    (0, 0), np.ones((60, 40)))
+            assert disk.pending_undos()
+            DAFMatrix.remove(disk, "j__C")
+            LABTree.remove(disk, "j__T")
+            assert disk.pending_undos() == []
+            left = {p.name.split(".")[0] for p in tmp_path.rglob("*")
+                    if p.is_file()}
+            assert left == {"j__C2"}
+            assert not disk.exists("j__C.daf")
+            # The name is reusable: no stale handle is served.
+            again = DAFMatrix.create(disk, "j__C", (2, 2), (60, 40))
+            again.preallocate()
+            assert not again.read_block((1, 1)).any()
+
+
 class TestShardFaultDomains:
     def test_fault_confined_to_one_shard(self, tmp_path):
         inj = FaultInjector(11, [FaultPolicy(transient=0.4)])
