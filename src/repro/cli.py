@@ -513,8 +513,9 @@ def _serve(args) -> int:
                       f"{s.breaker_trips} breaker trips")
             if svc.plan_cache is not None:
                 pc = svc.plan_cache
-                print(f"plan cache: {pc.hits} hits, {pc.misses} misses, "
-                      f"{len(pc)} plans stored")
+                print(f"plan cache: {pc.hits} hits ({pc.memory_hits} from "
+                      f"memory), {pc.misses} misses, {pc.invalidations} "
+                      f"invalidations, {len(pc)} plans stored")
         return failures
 
     try:

@@ -31,18 +31,20 @@ class OptimizationResult:
     """All legal plans plus selection helpers.
 
     ``cache_hit`` marks a result served from a plan cache: ``plans`` then
-    holds just the cached best plan and ``stats`` is a fresh
+    holds just the cached best plan, ``analysis`` is the one that plan was
+    costed against (the cache's, not a fresh one) and ``stats`` is a fresh
     :class:`AprioriStats` whose ``candidates_tested`` stays zero — the
-    search never ran.
+    search never ran.  ``fingerprint`` is the key the plan cache was asked
+    under, hit or miss (``None`` when no cache was given).
     """
 
     __slots__ = ("program", "params", "analysis", "plans", "stats",
-                 "io_model", "seconds", "cache_hit")
+                 "io_model", "seconds", "cache_hit", "fingerprint")
 
     def __init__(self, program: Program, params: Mapping[str, int],
                  analysis: ProgramAnalysis, plans: Sequence[Plan],
                  stats: AprioriStats, io_model: IOModel, seconds: float,
-                 cache_hit: bool = False):
+                 cache_hit: bool = False, fingerprint: str | None = None):
         self.program = program
         self.params = dict(params)
         self.analysis = analysis
@@ -51,6 +53,7 @@ class OptimizationResult:
         self.io_model = io_model
         self.seconds = seconds
         self.cache_hit = cache_hit
+        self.fingerprint = fingerprint
 
     @property
     def original_plan(self) -> Plan:
@@ -115,12 +118,16 @@ class Optimizer:
         fingerprint: pruned and exhaustive runs share cache entries.
 
         ``plan_cache`` (any object with the
-        :class:`repro.service.PlanCache` ``load``/``store`` protocol) short-
-        circuits the search: a cached best plan for this exact
-        (program, params, memory cap, knobs) fingerprint is re-costed and
-        returned without evaluating a single Apriori candidate
-        (``result.cache_hit`` is then true); a miss runs the search and
-        stores the winner for next time.
+        :class:`repro.service.PlanCache` ``fingerprint``/``lookup``/
+        ``insert`` protocol) short-circuits the search, and is asked *before*
+        the analysis runs: a cached best plan for this exact
+        (program, params, memory cap, knobs) fingerprint is returned
+        without evaluating a single Apriori candidate
+        (``result.cache_hit`` is then true), together with the analysis the
+        cache costed it against — from the cache's memory tier that is a
+        hash, a ``stat`` and a dict lookup, from its disk tier the cache
+        re-analyzes and re-costs.  A miss runs the analysis and the search
+        and hands the winner *and* the analysis to the cache for next time.
         """
         if workers is not None and workers < 1:
             raise OptimizationError(f"workers must be >= 1, got {workers}")
@@ -128,16 +135,19 @@ class Optimizer:
         knobs = dict(max_set_size=max_set_size, max_candidates=max_candidates,
                      dead_write_elimination=self.dead_write_elimination,
                      block_bytes=block_bytes)
+        fingerprint = None
         with obs_trace.span("optimize", "optimizer", program=self.program.name,
                             workers=workers or 1) as top:
-            with obs_trace.span("optimize.analyze", "optimizer") as sp:
-                analysis = analyze(self.program, param_values=params)
-                sp["opportunities"] = len(analysis.opportunities)
             if plan_cache is not None:
-                cached = plan_cache.load(self.program, params,
-                                         memory_cap_bytes, self.io_model,
-                                         analysis=analysis, **knobs)
+                fingerprint = plan_cache.fingerprint(
+                    self.program, params, memory_cap_bytes, self.io_model,
+                    **knobs)
+                with obs_trace.span("optimize.plan_cache", "optimizer") as sp:
+                    cached = plan_cache.lookup(fingerprint, self.program,
+                                               params, self.io_model)
+                    sp["hit"] = cached is not None
                 if cached is not None:
+                    plan, analysis = cached
                     top["cache_hit"] = True
                     stats = AprioriStats()
                     registry = obs_metrics.CURRENT
@@ -145,8 +155,12 @@ class Optimizer:
                         stats.bind(registry, program=self.program.name)
                     seconds = time.perf_counter() - t0
                     return OptimizationResult(
-                        self.program, params, analysis, [cached], stats,
-                        self.io_model, seconds, cache_hit=True)
+                        self.program, params, analysis, [plan], stats,
+                        self.io_model, seconds, cache_hit=True,
+                        fingerprint=fingerprint)
+            with obs_trace.span("optimize.analyze", "optimizer") as sp:
+                analysis = analyze(self.program, param_values=params)
+                sp["opportunities"] = len(analysis.opportunities)
             if workers is not None and workers > 1:
                 from .parallel import ParallelOptimizerPool
                 with ParallelOptimizerPool(
@@ -204,15 +218,15 @@ class Optimizer:
             stats.bind(registry, program=self.program.name)
         seconds = time.perf_counter() - t0
         result = OptimizationResult(self.program, params, analysis, plans,
-                                    stats, self.io_model, seconds)
+                                    stats, self.io_model, seconds,
+                                    fingerprint=fingerprint)
         if plan_cache is not None:
             try:
                 best = result.best(memory_cap_bytes)
             except OptimizationError:
                 pass  # nothing fits the cap — nothing worth caching
             else:
-                plan_cache.store(self.program, params, best,
-                                 memory_cap_bytes, self.io_model, **knobs)
+                plan_cache.insert(fingerprint, self.program, best, analysis)
         return result
 
 

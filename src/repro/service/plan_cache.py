@@ -1,24 +1,38 @@
-"""Persistent plan cache: optimization fingerprint -> best saved plan.
+"""Plan cache: optimization fingerprint -> best plan, on disk and in memory.
 
-The §5.4 Remark observes that the Apriori schedule search "need[s] to be
-done only once for a given program template".  The service turns that into
-a cache: the first submission of a (program, params, memory-cap, cost-model
-knobs) combination pays for the search; every repeat loads the winning
-schedule from disk through :mod:`repro.persist` and only re-costs it —
-**zero Apriori candidates are evaluated on a hit**.
+The §5.4 Remark observes that the Apriori schedule search and its
+evaluation "need to be done only once for a given program template".  The
+service turns that into a cache with two tiers under one fingerprint:
+
+* **On disk**, one ``<fingerprint>.json`` per entry, written atomically
+  (temp + ``os.rename``), so a cache directory shared by concurrent workers
+  — or concurrent services, or successive processes — never exposes a torn
+  plan.  Nothing else travels between processes, and nothing numeric is
+  trusted from the file: loading re-analyzes the program and re-costs the
+  schedule (see :func:`repro.persist.load_plan`) — **zero Apriori
+  candidates are evaluated**, but the polyhedral analysis runs.
+* **In memory**, a small LRU map per :class:`PlanCache` object,
+  ``fingerprint -> (Plan, ProgramAnalysis, stat signature of the entry
+  file)``.  It is filled by the search that stores an entry (with its own
+  plan and analysis) and by the first disk load, so everything in it was
+  analysed and costed *by this process*.  A hit is one SHA-256 over the
+  program signature, one ``os.stat`` and a dict lookup: no polyhedra, no
+  pair enumeration, no JSON.  The ``stat`` is the revalidation: unless
+  inode, size and mtime are those of the file the entry came from, the
+  entry is dropped, counted as an *invalidation*, and the lookup falls
+  through to the disk tier — a deleted, truncated, corrupted or replaced
+  entry file is never served from memory.
 
 Keying is structural, not nominal: the fingerprint digests the program's
-arrays, statements, iteration domains (normalized polyhedra), accesses, the
-concrete parameter binding, the memory cap the best plan was selected
-under, the I/O model bandwidths, and the search knobs.  Two programs that
-differ in any of these hash apart even if they share a name; a re-built but
-identical program hashes together.
-
-Cache files are written atomically (temp + ``os.rename``), so a cache
-directory shared by concurrent workers — or concurrent services — never
-exposes a torn plan.  Nothing numeric is trusted from the file: loading
-re-analyzes the program and re-costs the schedule (see
-:func:`repro.persist.load_plan`).
+parameter context, arrays, statements, iteration domains (normalized
+polyhedra), accesses, the concrete parameter binding, the memory cap the
+best plan was selected under, the I/O model bandwidths, and the search
+knobs.  Two programs that differ in any of these hash apart even if they
+share a name; a re-built but identical program hashes together — which is
+what lets a memory hit hand a ``Plan`` made for one ``Program`` object to a
+structurally equal other one (``Access.key()`` and schedule rows go by
+name; ``tests/service/test_plan_cache_memory.py`` walks the IR's slots so
+that every field the analysis reads stays under the fingerprint).
 """
 
 from __future__ import annotations
@@ -27,10 +41,11 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Mapping
 
-from ..analysis import analyze
+from ..analysis import ProgramAnalysis, analyze
 from ..exceptions import ReproError
 from ..ir import Program
 from ..obs import metrics as obs_metrics
@@ -39,6 +54,22 @@ from ..optimizer.plan import Plan
 from ..persist import load_plan, save_plan
 
 __all__ = ["PlanCache", "optimization_fingerprint"]
+
+#: Entries the in-memory tier keeps per :class:`PlanCache` (LRU beyond it).
+#: An entry is one plan plus the analysis it was costed against — ≈50 KB
+#: for the paper's add+multiply program — and a service sees one per
+#: (template, sizes, cap) it is asked to run.
+MEMORY_ENTRIES = 64
+
+
+def _polyhedron_signature(poly) -> dict:
+    # eqs/ineqs are normalized, deduplicated, sorted integer rows — a
+    # canonical form of the polyhedron.
+    return {
+        "space": list(poly.space.names),
+        "eqs": [list(r) for r in poly.eqs],
+        "ineqs": [list(r) for r in poly.ineqs],
+    }
 
 
 def _program_signature(program: Program) -> dict:
@@ -70,17 +101,15 @@ def _program_signature(program: Program) -> dict:
             "kernel_args": sorted((str(k), str(v))
                                   for k, v in stmt.kernel_args.items()),
             "position": list(stmt.position),
-            # eqs/ineqs are normalized, deduplicated, sorted integer rows —
-            # a canonical form of the iteration domain.
-            "domain": {
-                "space": list(stmt.domain.space.names),
-                "eqs": [list(r) for r in stmt.domain.eqs],
-                "ineqs": [list(r) for r in stmt.domain.ineqs],
-            },
+            "domain": _polyhedron_signature(stmt.domain),
+            "accesses": accesses,
         })
     return {
         "name": program.name,
         "params": list(program.params),
+        # The analysis judges emptiness under these assumptions, so two
+        # programs that differ only here can have different opportunities.
+        "param_context": _polyhedron_signature(program.param_context),
         "arrays": arrays,
         "statements": statements,
     }
@@ -104,21 +133,50 @@ def optimization_fingerprint(program: Program, params: Mapping[str, int],
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class PlanCache(obs_metrics.StatFields):
-    """Directory of saved best plans, one ``<fingerprint>.json`` per entry.
+def _stat_signature(path: Path) -> tuple | None:
+    """What identifies the file now at ``path``, or ``None`` without one.
 
-    ``hits``/``misses`` are thin views over metrics counters (the service
-    exposes them as gauges in its exposition dump); :meth:`bind` adopts
-    them into a registry, done automatically when one is installed.
+    Entries are only ever replaced by ``os.rename`` of a new file, which
+    changes the inode; size and mtime also catch an in-place rewrite or
+    truncation by something that is not this class.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+class PlanCache(obs_metrics.StatFields):
+    """Directory of saved best plans, one ``<fingerprint>.json`` per entry,
+    with the plans this object has loaded or stored kept ready in memory.
+
+    ``hits``/``misses``/``stores`` count lookups and stores whichever tier
+    served them; ``memory_hits`` is the share of ``hits`` that needed no
+    analysis, and ``invalidations`` counts memory entries dropped because
+    the entry file was no longer the one they came from.  All are thin
+    views over metrics counters (the service exposes them in its
+    exposition dump); :meth:`bind` adopts them into a registry, done
+    automatically when one is installed.
+
+    :meth:`load` and :meth:`store` compute the fingerprint from the program
+    and knobs; :meth:`lookup` and :meth:`insert` are the same two
+    operations for a caller that already holds the fingerprint, and they
+    carry the analysis along with the plan — ``insert`` takes the one the
+    search ran on, ``lookup`` returns the one the plan is costed against.
     """
 
-    _COUNTERS = ("hits", "misses", "stores")
+    _COUNTERS = ("hits", "misses", "stores", "memory_hits", "invalidations")
+
+    fingerprint = staticmethod(optimization_fingerprint)
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._init_stats("repro_plan_cache_")
         self._lock = threading.Lock()
+        # fingerprint -> ((plan, analysis), stat signature), oldest first.
+        self._memory: "OrderedDict[str, tuple[tuple, tuple]]" = OrderedDict()
         registry = obs_metrics.CURRENT
         if registry is not None:
             self.bind(registry, cache=registry.seq("plan_cache"))
@@ -132,21 +190,50 @@ class PlanCache(obs_metrics.StatFields):
              memory_cap_bytes: int | None = None,
              io_model: IOModel | None = None, analysis=None,
              **knobs) -> Plan | None:
-        """The cached best plan, re-analyzed and re-costed — or ``None``.
+        """The cached best plan for this program and knobs — or ``None``.
 
-        A hit skips the Apriori search entirely; only the (cheap) sharing
-        analysis and the single-schedule costing run (pass ``analysis`` to
-        reuse one already computed).  A cache file that no longer resolves
+        See :meth:`lookup`, which this calls with the fingerprint of its
+        arguments.
+        """
+        entry = self.lookup(
+            optimization_fingerprint(program, params, memory_cap_bytes,
+                                     io_model, **knobs),
+            program, params, io_model, analysis)
+        return entry[0] if entry is not None else None
+
+    def lookup(self, fingerprint: str, program: Program,
+               params: Mapping[str, int], io_model: IOModel | None = None,
+               analysis: ProgramAnalysis | None = None
+               ) -> "tuple[Plan, ProgramAnalysis] | None":
+        """The cached best plan and the analysis it is costed against.
+
+        A hit skips the Apriori search entirely.  From memory it also skips
+        the analysis: the entry is returned as this process last costed it,
+        once one ``os.stat`` has confirmed the entry file is unchanged.
+        From disk the sharing analysis and the single-schedule costing run
+        (pass ``analysis`` to reuse one already computed) and the result is
+        kept for the next lookup.  A cache file that no longer resolves
         against the program (stale directory reused across incompatible
         code versions) counts as a miss and is ignored.
         """
-        fp = optimization_fingerprint(program, params, memory_cap_bytes,
-                                      io_model, **knobs)
-        path = self.path_for(fp)
-        if not path.exists():
-            with self._lock:
+        path = self.path_for(fingerprint)
+        # Taken before the file is read: if it is replaced in between, the
+        # memory entry carries the older signature and the next lookup
+        # reloads — never the other way round.
+        signature = _stat_signature(path)
+        with self._lock:
+            entry = self._memory.get(fingerprint)
+            if entry is not None:
+                if entry[1] == signature:
+                    self._memory.move_to_end(fingerprint)
+                    self._hits.value += 1
+                    self._memory_hits.value += 1
+                    return entry[0]
+                del self._memory[fingerprint]
+                self._invalidations.value += 1
+            if signature is None:
                 self._misses.value += 1
-            return None
+                return None
         try:
             if analysis is None:
                 analysis = analyze(program, param_values=params)
@@ -157,20 +244,48 @@ class PlanCache(obs_metrics.StatFields):
             return None
         with self._lock:
             self._hits.value += 1
-        return plan
+            return self._remember(fingerprint, plan, analysis, signature)
+
+    def _remember(self, fingerprint: str, plan: Plan,
+                  analysis: ProgramAnalysis, signature: tuple
+                  ) -> tuple[Plan, ProgramAnalysis]:
+        """Keep an entry in the memory tier (lock held); returns the one
+        kept — threads that loaded the same file concurrently all end up
+        with the first one's plan."""
+        entry = self._memory.get(fingerprint)
+        if entry is None or entry[1] != signature:
+            entry = self._memory[fingerprint] = ((plan, analysis), signature)
+            while len(self._memory) > MEMORY_ENTRIES:
+                self._memory.popitem(last=False)
+        self._memory.move_to_end(fingerprint)
+        return entry[0]
 
     def store(self, program: Program, params: Mapping[str, int], plan: Plan,
               memory_cap_bytes: int | None = None,
               io_model: IOModel | None = None, **knobs) -> Path:
         """Persist ``plan`` as the best for this fingerprint (atomic)."""
-        fp = optimization_fingerprint(program, params, memory_cap_bytes,
-                                      io_model, **knobs)
-        path = self.path_for(fp)
+        return self.insert(
+            optimization_fingerprint(program, params, memory_cap_bytes,
+                                     io_model, **knobs), program, plan)
+
+    def insert(self, fingerprint: str, program: Program, plan: Plan,
+               analysis: ProgramAnalysis | None = None) -> Path:
+        """Persist ``plan`` under ``fingerprint`` (atomic).  With the
+        ``analysis`` the plan was costed against, the pair also enters the
+        memory tier, so the next lookup need not re-derive it."""
+        path = self.path_for(fingerprint)
         tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         save_plan(tmp, plan, program)
+        # Of the file this call wrote — rename keeps inode, size and mtime
+        # — not of whatever a concurrent writer renamed over it afterwards.
+        signature = _stat_signature(tmp)
         os.rename(tmp, path)
         with self._lock:
             self._stores.value += 1
+            # Whatever memory held belonged to the file just replaced.
+            self._memory.pop(fingerprint, None)
+            if analysis is not None:
+                self._remember(fingerprint, plan, analysis, signature)
         return path
 
     # -- introspection -----------------------------------------------------------
@@ -179,6 +294,8 @@ class PlanCache(obs_metrics.StatFields):
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
+        with self._lock:
+            self._memory.clear()
         n = 0
         for path in self.root.glob("*.json"):
             path.unlink()
@@ -187,4 +304,5 @@ class PlanCache(obs_metrics.StatFields):
 
     def __repr__(self) -> str:
         return (f"PlanCache({self.root}, {len(self)} plans, "
-                f"hits={self.hits}, misses={self.misses})")
+                f"hits={self.hits} ({self.memory_hits} from memory), "
+                f"misses={self.misses})")

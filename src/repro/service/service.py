@@ -393,6 +393,18 @@ class ArrayService:
 
         self._executor = ThreadPoolExecutor(workers,
                                             thread_name_prefix="repro-svc")
+        # Start every worker thread now; the executor would start each on
+        # its first concurrent submit, i.e. *after* the caller's client
+        # threads exist.  glibc then hands those clients the malloc arenas
+        # the previous service's workers vacated (tens of MB of freed,
+        # untrimmable block buffers each) and grows fresh ones for the new
+        # workers: a process that runs services one after another strands
+        # an arena set per generation.  Created first, in the same order,
+        # each generation's workers take over their predecessors' arenas.
+        barrier = threading.Barrier(workers)
+        for started in [self._executor.submit(barrier.wait)
+                        for _ in range(workers)]:
+            started.result()
         # Process backend: driver threads above still run the full pipeline
         # (plan, admit, retry, accounting); only the admitted execution is
         # dispatched here.  Sized with the thread pool so every driver can
@@ -435,6 +447,10 @@ class ArrayService:
         :class:`~repro.exceptions.JobCancelled` at their next checkpoint
         (and any retry backoff sleeps are cut short), so shutdown bounds
         on the current instance, not the full remaining plan.
+
+        With ``wait=True`` the shared buffer pool is emptied once the last
+        job has finished: a shut-down service holds no block memory,
+        whether or not the service object itself is still referenced.
         """
         with self._adm:
             self._closed = True
@@ -447,6 +463,12 @@ class ArrayService:
         self._executor.shutdown(wait=wait)
         if self._workers is not None:
             self._workers.shutdown(wait=wait)
+        if wait:
+            # Every job has run its own sweep, so what is left are shared
+            # dataset blocks nobody will read again — up to the whole cap.
+            # Without ``wait`` jobs may still be running on these blocks.
+            # (A pinned block stays: a leaked pin must remain visible.)
+            self.pool.drop_matching(lambda key: True, force=True)
         for store in self._datasets.values():
             store.close()
         self.disk.close()
@@ -660,7 +682,7 @@ class ArrayService:
         h = hashlib.sha256()
         h.update(repr((canon.dtype.str, canon.shape,
                        arr.block_shape)).encode())
-        h.update(canon.tobytes())
+        h.update(canon)  # the array's own buffer, not a tobytes() copy
         return f"ds_{h.hexdigest()[:16]}"
 
     def _store_names(self, job: _Job) -> dict[str, str]:
@@ -676,9 +698,23 @@ class ArrayService:
 
     # -- the job pipeline ---------------------------------------------------
 
-    def _plan_job(self, job: _Job) -> tuple[Plan, bool, float]:
+    def _fingerprint(self, job: _Job) -> str:
+        """The plan-cache key of ``job`` — the knobs are exactly those
+        :meth:`Optimizer.optimize` keys the cache with when this service
+        plans, so the value names the job's ``<fingerprint>.json``."""
+        cap = job.memory_cap_bytes if job.memory_cap_bytes is not None \
+            else self.memory_cap_bytes
+        return optimization_fingerprint(
+            job.program, job.params, cap, self.io_model,
+            max_set_size=self.max_set_size,
+            max_candidates=self.max_candidates,
+            dead_write_elimination=True, block_bytes=None)
+
+    def _plan_job(self, job: _Job) -> tuple[Plan, bool, float, str | None]:
+        """``(plan, cache hit?, planning seconds, fingerprint)``; the
+        fingerprint is ``None`` when planning never asked the cache."""
         if job.plan is not None:
-            return job.plan, False, 0.0
+            return job.plan, False, 0.0, None
         cap = job.memory_cap_bytes if job.memory_cap_bytes is not None \
             else self.memory_cap_bytes
         opt = Optimizer(job.program, self.io_model)
@@ -694,10 +730,10 @@ class ArrayService:
         except OptimizationError as err:
             raise AdmissionRejected(
                 f"no plan for {job.program.name} fits {cap} bytes") from err
-        return plan, result.cache_hit, result.seconds
+        return plan, result.cache_hit, result.seconds, result.fingerprint
 
     def _plan_degraded(self, job: _Job, opt: Optimizer, cap: int
-                       ) -> tuple[Plan, bool, float]:
+                       ) -> tuple[Plan, bool, float, str | None]:
         """Plan-cache-only planning under queue pressure.
 
         A cache hit serves the previously-won plan as usual; a miss must
@@ -709,17 +745,15 @@ class ArrayService:
         """
         t0 = time.monotonic()
         self.stats.degraded_plans += 1
+        fingerprint = None
         if self.plan_cache is not None:
-            cached = self.plan_cache.load(
-                job.program, job.params, cap, self.io_model,
-                max_set_size=self.max_set_size,
-                max_candidates=self.max_candidates,
-                dead_write_elimination=opt.dead_write_elimination,
-                block_bytes=None)
-            if cached is not None and cached.fits(cap):
+            fingerprint = self._fingerprint(job)
+            cached = self.plan_cache.lookup(fingerprint, job.program,
+                                            job.params, self.io_model)
+            if cached is not None and cached[0].fits(cap):
                 obs_trace.instant("service.degraded_plan", "service",
                                   job=job.key, source="cache")
-                return cached, True, time.monotonic() - t0
+                return cached[0], True, time.monotonic() - t0, fingerprint
         obs_trace.instant("service.degraded_plan", "service",
                           job=job.key, source="original")
         result = opt.optimize(job.params, memory_cap_bytes=cap,
@@ -729,7 +763,7 @@ class ArrayService:
         except OptimizationError as err:
             raise AdmissionRejected(
                 f"no plan for {job.program.name} fits {cap} bytes") from err
-        return plan, False, time.monotonic() - t0
+        return plan, False, time.monotonic() - t0, fingerprint
 
     def _run_job(self, job: _Job) -> JobResult:
         try:
@@ -812,7 +846,7 @@ class ArrayService:
             if arr.kind is ArrayKind.INPUT and lname not in job.inputs:
                 raise ServiceError(f"missing input matrix {lname!r}")
         with obs_trace.span("service.plan", "service", job=job.key):
-            plan, cache_hit, opt_seconds = self._plan_job(job)
+            plan, cache_hit, opt_seconds, fingerprint = self._plan_job(job)
         # Pin the plan on the job so a retry replays the *same* plan: the
         # checkpoint journal is keyed by plan fingerprint, and resume only
         # works if attempt N+1 fingerprints identically to attempt N.
@@ -917,13 +951,11 @@ class ArrayService:
                 # Enrich the job span's end event with everything the
                 # workload advisor needs to rebuild a profile offline from
                 # the JSONL trace alone (repro.advisor.workload).
-                cap = job.memory_cap_bytes \
-                    if job.memory_cap_bytes is not None \
-                    else self.memory_cap_bytes
-                sp["fingerprint"] = optimization_fingerprint(
-                    job.program, job.params, cap, self.io_model,
-                    max_set_size=self.max_set_size,
-                    max_candidates=self.max_candidates)
+                # The key planning asked the cache under; a job that came
+                # with its plan (pinned, or a retry) gets the one it would
+                # have been asked under, so profiles group it with its
+                # template either way.
+                sp["fingerprint"] = fingerprint or self._fingerprint(job)
                 sp["params"] = dict(job.params)
                 sp["arrays"] = names
                 sp["plan_exact"] = job.plan_exact
