@@ -46,7 +46,7 @@ from ..obs.validate import RESUME_STMT, CostValidation, validate_cost
 from ..optimizer.costing import IOModel
 from ..optimizer.plan import Plan
 from ..storage import (BufferPool, DAFMatrix, FaultInjector, IOStats, LABTree,
-                       LockedPool, RetryPolicy, SimulatedDisk, make_disk)
+                       RetryPolicy, SimulatedDisk, make_disk)
 from .journal import ExecutionJournal, plan_fingerprint
 from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
@@ -181,7 +181,7 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
     ``pool`` injects an externally owned buffer pool (``memory_cap_bytes``
     is then ignored — the injected pool already enforces its own cap).
     This is how :mod:`repro.service` runs many concurrent queries over one
-    shared :class:`~repro.storage.SharedBufferPool`: blocks another query
+    shared :class:`~repro.storage.BufferPool`: blocks another query
     loaded are hits here, and the pool-level statistics in the returned
     report then aggregate over every query sharing the pool.
 
@@ -256,15 +256,12 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
         journal.start(resume=start_index > 0)
 
     # Plan-driven prefetch: readers walk the future READ sequence ahead of
-    # the compute loop.  They need a thread-safe pool surface; a plain
-    # private BufferPool gets the LockedPool adapter (same pool object
-    # underneath, so stats and cap behave identically).
+    # the compute loop and stage into the same pool it reads from — private
+    # or injected, every pool serializes itself.
     pipeline = None
     if prefetch_depth:
         items = plan.read_sequence(start_index)
         if items:
-            if not getattr(pool, "thread_safe", False):
-                pool = LockedPool(pool)
             pipeline = PrefetchPipeline(
                 items, stores, pool, depth=prefetch_depth,
                 budget_bytes=prefetch_budget_bytes,

@@ -80,9 +80,9 @@ class PrefetchStats:
 class PrefetchPipeline:
     """Background readers staging the plan's future READs into the pool.
 
-    ``pool`` must be thread-safe (``thread_safe = True``); the executor
-    wraps a plain :class:`~repro.storage.BufferPool` in
-    :class:`~repro.storage.LockedPool` before constructing one of these.
+    ``pool`` is used as given — a :class:`~repro.storage.BufferPool` or a
+    view forwarding to one; the pool itself serializes the readers'
+    ``stage`` calls against the compute thread.
     ``completed`` is the highest instance index already executed (``-1``
     for a fresh run; the resume boundary minus one on a resumed run).
     """
@@ -95,10 +95,6 @@ class PrefetchPipeline:
                  cancel: "CancelToken | None" = None):
         if depth < 1:
             raise ExecutionError(f"prefetch depth must be >= 1, got {depth}")
-        if not getattr(pool, "thread_safe", False):
-            raise ExecutionError(
-                "prefetch pipeline needs a thread-safe pool (wrap plain "
-                "BufferPool in LockedPool)")
         self._items = list(items)
         self._stores = stores
         self._pool = pool

@@ -18,7 +18,8 @@ then drains everything and audits the post-mortem invariants that define
 
 1. every future resolves within the drain timeout (no hung jobs);
 2. the admission ledger returns to zero and the queue empties;
-3. the shared pool holds zero pins and zero staged marks;
+3. the shared pool holds zero pins and zero staged marks, and its byte
+   ledger equals what is actually resident (nothing, once every pin is gone);
 4. every failure is a typed :class:`~repro.exceptions.ReproError` subclass
    (never a bare ``Exception`` or stdlib ``CancelledError``);
 5. the stats ledger conserves: submitted = completed + failed + cancelled
@@ -299,6 +300,11 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
     if staged != 0:
         report.violations.append(
             f"pool leaked {staged} staged marks after drain")
+    used, resident = svc.pool.used_bytes, svc.pool.resident_bytes()
+    if used != resident:
+        report.violations.append(
+            f"pool byte ledger leaked: used_bytes={used} but {resident} "
+            f"bytes are resident after drain")
     s = svc.stats
     accounted = (s.jobs_completed + s.jobs_failed + s.jobs_rejected
                  + s.jobs_cancelled + s.jobs_deadline_exceeded)

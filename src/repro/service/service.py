@@ -8,7 +8,7 @@ memory and disk — realized over the existing single-query stack:
 * planning goes through the persistent :class:`~repro.service.PlanCache`,
   so repeat submissions of a program template skip the Apriori search;
 * every job executes against one **shared**
-  :class:`~repro.storage.SharedBufferPool` and one shared
+  :class:`~repro.storage.BufferPool` and one shared
   :class:`~repro.storage.SimulatedDisk` — inputs are content-addressed, so
   two queries over the same base array share buffered blocks (and a block
   being read by one query satisfies a concurrent fetch of it without a
@@ -75,8 +75,8 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..optimizer import IOModel, Optimizer
 from ..optimizer.plan import Plan
-from ..storage import (DAFMatrix, FaultInjector, RetryPolicy,
-                       SharedBufferPool, make_disk)
+from ..storage import (BufferPool, DAFMatrix, FaultInjector, RetryPolicy,
+                       make_disk)
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
                          HealthController, JobRetryPolicy)
@@ -131,20 +131,17 @@ class JobPoolView:
     Translates the engine's ``(array name, block)`` keys into the service's
     global namespace, tags every pin with the job as *owner* (so crashed
     jobs can be swept with
-    :meth:`~repro.storage.SharedBufferPool.release_owner`), and keeps
+    :meth:`~repro.storage.BufferPool.release_owner`), and keeps
     per-job hit/miss counters: a fetch satisfied without invoking *this
     job's* loader — whether the block was resident or another query's
     in-flight read was joined — counts as a hit, because this job issued no
     disk read for it.  ``peak_bytes`` is the shared pool's aggregate peak.
+    The surface is what the engine and its prefetch pipeline call.
     """
-
-    # The shared pool underneath serializes everything, so the engine's
-    # prefetch pipeline can use a view directly (no LockedPool wrapper).
-    thread_safe = True
 
     __slots__ = ("pool", "names", "owner", "hits", "misses")
 
-    def __init__(self, pool: SharedBufferPool, names: Mapping[str, str],
+    def __init__(self, pool: BufferPool, names: Mapping[str, str],
                  owner: Hashable):
         self.pool = pool
         self.names = dict(names)
@@ -195,17 +192,8 @@ class JobPoolView:
     def unpin(self, key: tuple) -> None:
         self.pool.unpin(self._k(key), owner=self.owner)
 
-    def release(self, key: tuple, force: bool = False) -> None:
-        self.pool.release(self._k(key), force)
-
     def release_if_unpinned(self, key: tuple, force: bool = False) -> bool:
         return self.pool.release_if_unpinned(self._k(key), force)
-
-    def pin_count(self, key: tuple) -> int:
-        return self.pool.pin_count(self._k(key))
-
-    def mark_clean(self, key: tuple) -> None:
-        self.pool.mark_clean(self._k(key))
 
     @property
     def peak_bytes(self) -> int:
@@ -364,7 +352,7 @@ class ArrayService:
             # A previous service process may have died mid-write; roll torn
             # regions back before any job opens a store.
             self.disk.recover()
-        self.pool = SharedBufferPool(self.memory_cap_bytes)
+        self.pool = BufferPool(self.memory_cap_bytes)
         if isinstance(plan_cache, (str, Path)):
             plan_cache = PlanCache(plan_cache)
         self.plan_cache = plan_cache

@@ -12,15 +12,16 @@ Public surface:
 * :class:`LABTree` — Linearized Array B-tree (sparse-capable B+-tree format);
 * :class:`BlockLayout` / :class:`BlockChecksums` — column-major layout
   arithmetic and the per-block checksum sidecar;
-* :class:`BufferPool` — explicitly capped memory with pinning (Section 4.2);
-* :class:`SharedBufferPool` — the thread-safe variant concurrent queries
-  share (single lock, loader de-duplication, per-owner pin accounting);
+* :class:`BufferPool` — explicitly capped memory with pinning (Section 4.2):
+  the one pool class, private to a run or shared by concurrent queries
+  (single lock, loader de-duplication, per-owner pin accounting);
+  ``SharedBufferPool`` is an alias of it;
 * :class:`FaultInjector` / :class:`FaultPolicy` / :class:`RetryPolicy` —
   deterministic fault injection and the retry policy that absorbs it.
 """
 
 from .blocks import BlockChecksums, BlockLayout, block_checksum
-from .buffer import BufferedBlock, BufferPool, LockedPool, SharedBufferPool
+from .buffer import BufferedBlock, BufferPool, SharedBufferPool
 from .daf import DAFMatrix
 from .disk import DiskFile, IOStats, SimulatedDisk
 from .faults import FaultInjector, FaultPolicy, InjectedFault, RetryPolicy
@@ -33,7 +34,6 @@ __all__ = [
     "BlockLayout",
     "BufferPool",
     "BufferedBlock",
-    "LockedPool",
     "SharedBufferPool",
     "DAFMatrix",
     "FaultInjector",

@@ -10,7 +10,9 @@ for how long.  This pool enforces that contract:
 * ``pin``/``unpin`` protect blocks the plan retains for realized sharing;
 * unpinned blocks are evicted LRU when space is needed;
 * exceeding the cap with pinned blocks raises :class:`BufferPoolError` —
-  the optimizer's memory estimate was supposed to prevent that.
+  the optimizer's memory estimate was supposed to prevent that;
+* one class is both a run's private pool and the pool concurrent queries
+  share — the private one simply has no owners and no contention.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..exceptions import BufferPoolError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["BufferPool", "SharedBufferPool", "LockedPool", "BufferedBlock"]
+__all__ = ["BufferPool", "SharedBufferPool", "BufferedBlock"]
 
 
 class BufferedBlock:
@@ -48,7 +50,22 @@ class BufferedBlock:
 
 
 class BufferPool(obs_metrics.StatFields):
-    """LRU pool of matrix blocks under a hard byte cap.
+    """Thread-safe LRU pool of matrix blocks under a hard byte cap.
+
+    One pool, one global byte cap, any number of threads — a job's compute
+    loop and its prefetch readers, or every executor thread of
+    :mod:`repro.service`:
+
+    * **one lock** (an ``RLock``) serializes every residency / pin /
+      eviction transition, so the cap is never exceeded and a pinned block
+      is never evicted, whoever else is using the pool;
+    * **loader de-duplication** — a fetch that must go to disk marks the
+      key *in flight* and drops the lock while the loader runs; concurrent
+      fetches of the same key wait on a condition instead of issuing a
+      second disk read, while fetches of other keys proceed in parallel;
+    * **per-owner pin accounting** — pins taken with an ``owner`` tag are
+      remembered per owner, so :meth:`release_owner` can drop everything a
+      crashed query still held without touching other queries' pins.
 
     The statistics fields (``hits``/``misses``/``evictions``/``used_bytes``/
     ``peak_bytes``) are thin views over :mod:`repro.obs.metrics` instruments;
@@ -59,16 +76,16 @@ class BufferPool(obs_metrics.StatFields):
     _COUNTERS = ("hits", "misses", "evictions")
     _GAUGES = ("used_bytes", "peak_bytes")
 
-    #: Whether every transition is safe to drive from multiple threads.
-    #: The engine checks this before prefetching into an injected pool and
-    #: wraps unsafe pools in :class:`LockedPool`.
-    thread_safe = False
-
     def __init__(self, cap_bytes: int | None = None):
         if cap_bytes is not None and cap_bytes <= 0:
             raise BufferPoolError("cap must be positive (or None for unlimited)")
         self.cap_bytes = cap_bytes
         self._blocks: "OrderedDict[tuple, BufferedBlock]" = OrderedDict()
+        self._lock = threading.RLock()
+        # Waited on only by fetches that joined another thread's load.
+        self._cond = threading.Condition(self._lock)
+        self._loading: set[tuple] = set()
+        self._owner_pins: dict[Hashable, dict[tuple, int]] = {}
         self._init_stats("repro_pool_")
         registry = obs_metrics.CURRENT
         if registry is not None:
@@ -77,64 +94,100 @@ class BufferPool(obs_metrics.StatFields):
     # -- residency ------------------------------------------------------------
 
     def contains(self, key: tuple) -> bool:
-        return key in self._blocks
+        with self._lock:
+            return key in self._blocks
 
     def fetch(self, key: tuple, loader: Callable[[], np.ndarray],
-              pin: int = 0) -> BufferedBlock:
+              pin: int = 0, owner: Hashable | None = None) -> BufferedBlock:
         """Resident block for ``key``, loading via ``loader`` on a miss.
 
         ``pin`` adds that many pins *atomically with the lookup*: a caller
         that fetches and then pins in two steps leaves a window in which a
-        concurrent eviction can drop the block (impossible here, real in
-        :class:`SharedBufferPool`), so the engine always pins through this
-        argument.
+        concurrent eviction can drop the block, so the engine always pins
+        through this argument.
+
+        A fetch that joins another thread's load counts as a hit; if that
+        load fails (loader error, or the cap refuses the block) each joiner
+        wakes, finds the key absent and tries for itself.
         """
-        blk = self._blocks.get(key)
         tracer = obs_trace.CURRENT
-        if blk is not None:
-            self.hits += 1
-            if tracer is not None:
-                tracer.instant("pool.hit", "pool", key=str(key))
-            self._blocks.move_to_end(key)
-            blk.pins += pin
-            return blk
-        data = loader()
-        # The miss is counted only once the loader has succeeded, matching
-        # SharedBufferPool: a loader that raises completed no load, and
-        # counting it would skew the hit ratio of retried fetches.
-        self.misses += 1
-        if tracer is not None:
-            tracer.instant("pool.miss", "pool", key=str(key))
-        blk = self._admit(key, data)
-        blk.pins += pin
-        return blk
+        with self._lock:
+            while True:
+                blk = self._blocks.get(key)
+                if blk is not None:
+                    self.hits += 1
+                    if tracer is not None:
+                        tracer.instant("pool.hit", "pool", key=str(key))
+                    self._blocks.move_to_end(key)
+                    self._add_pins(blk, pin, owner)
+                    return blk
+                if key not in self._loading:
+                    self._loading.add(key)
+                    break
+                # Another thread is already reading this block from disk:
+                # wait for it instead of issuing a duplicate read.
+                self._cond.wait()
+        # Load outside the lock — distinct keys load in parallel and the
+        # pool stays responsive during (possibly fault-retried) disk I/O.
+        try:
+            data = loader()
+            with self._lock:
+                # The miss is counted only once the loader has succeeded: a
+                # loader that raises completed no load, and counting it
+                # would skew the hit ratio of retried fetches.
+                self.misses += 1
+                if tracer is not None:
+                    tracer.instant("pool.miss", "pool", key=str(key))
+                # A put/stage that landed while the loader ran is at least
+                # as new as the disk copy and may carry pins and stage
+                # marks: that block stays and the loaded bytes are dropped.
+                blk = self._blocks.get(key)
+                if blk is None:
+                    blk = self._admit(key, data)
+                self._add_pins(blk, pin, owner)
+                return blk
+        finally:
+            # Every exit — loader error and refused admit included — wakes
+            # the fetches that joined this load.
+            with self._lock:
+                self._loading.discard(key)
+                self._cond.notify_all()
 
     def put(self, key: tuple, data: np.ndarray, dirty: bool = False,
-            pin: int = 0, force: bool = False) -> BufferedBlock:
+            pin: int = 0, owner: Hashable | None = None,
+            force: bool = False) -> BufferedBlock:
         """Install (or replace) a block produced in memory.
 
         Replacing a resident *dirty* block with clean data silently drops
         bytes that never reached disk — the same loss ``_make_room`` and
         :meth:`release` refuse loudly — so it raises unless the caller
         passes ``force=True`` (or installs dirty data itself, which keeps
-        the block dirty).  Pins and stage marks survive replacement.
+        the block dirty).  Pins and stage marks survive replacement, and a
+        replacement the cap refuses leaves the resident block in place.
         """
-        old = self._blocks.get(key)
-        if old is not None:
-            if old.dirty and not dirty and not force:
-                raise BufferPoolError(
-                    f"replacing dirty block {key} with clean data would "
-                    f"discard unwritten bytes (write it back first, or pass "
-                    f"force=True to drop it)")
-            del self._blocks[key]
-            self.used_bytes -= old.nbytes
-        blk = self._admit(key, data)
-        if old is not None:
-            blk.pins = old.pins
-            blk.staged = old.staged
-        blk.dirty = dirty
-        blk.pins += pin
-        return blk
+        with self._lock:
+            old = self._blocks.get(key)
+            if old is not None:
+                if old.dirty and not dirty and not force:
+                    raise BufferPoolError(
+                        f"replacing dirty block {key} with clean data would "
+                        f"discard unwritten bytes (write it back first, or pass "
+                        f"force=True to drop it)")
+                del self._blocks[key]
+                self.used_bytes -= old.nbytes
+            try:
+                blk = self._admit(key, data)
+            except BufferPoolError:
+                if old is not None:
+                    self._blocks[key] = old
+                    self.used_bytes += old.nbytes
+                raise
+            if old is not None:
+                blk.pins = old.pins
+                blk.staged = old.staged
+            blk.dirty = dirty
+            self._add_pins(blk, pin, owner)
+            return blk
 
     def _admit(self, key: tuple, data: np.ndarray) -> BufferedBlock:
         blk = BufferedBlock(key, data)
@@ -171,312 +224,35 @@ class BufferPool(obs_metrics.StatFields):
 
     # -- pinning -----------------------------------------------------------------
 
-    def pin(self, key: tuple) -> None:
-        try:
-            blk = self._blocks[key]
-        except KeyError:
-            raise BufferPoolError(f"pin of non-resident block {key}") from None
-        blk.pins += 1
-        tracer = obs_trace.CURRENT
-        if tracer is not None:
-            tracer.instant("pool.pin", "pool", key=str(key), pins=blk.pins)
-
-    def unpin(self, key: tuple) -> None:
-        try:
-            blk = self._blocks[key]
-        except KeyError:
-            raise BufferPoolError(f"unpin of non-resident block {key}") from None
-        if blk.pins <= 0:
-            raise BufferPoolError(f"unpin without pin on {key}")
-        blk.pins -= 1
-        tracer = obs_trace.CURRENT
-        if tracer is not None:
-            tracer.instant("pool.unpin", "pool", key=str(key), pins=blk.pins)
-
-    def release(self, key: tuple, force: bool = False) -> None:
-        """Drop a block regardless of LRU position (pins must be zero).
-
-        A dirty block holds data that never reached disk; dropping it is the
-        same data loss ``_make_room`` refuses, so it raises here too unless
-        ``force=True`` (teardown escape hatch for callers that know the data
-        is dead).
-        """
-        blk = self._blocks.get(key)
-        if blk is None:
-            return
-        if blk.pins > 0:
-            raise BufferPoolError(f"release of pinned block {key}")
-        if blk.dirty and not force:
-            raise BufferPoolError(
-                f"release of dirty block {key} would discard unwritten data "
-                f"(schedule its write-back, or pass force=True to drop it)")
-        del self._blocks[key]
-        self.used_bytes -= blk.nbytes
-
-    def release_if_unpinned(self, key: tuple, force: bool = False) -> bool:
-        """Drop ``key`` iff it is resident with a zero pin count.
-
-        The plan-exact engine's end-of-instance sweep: returns ``True`` when
-        the block was dropped, ``False`` when it is absent or still pinned.
-        Dirty blocks raise exactly as :meth:`release` does.
-        """
-        blk = self._blocks.get(key)
-        if blk is None or blk.pins > 0:
-            return False
-        self.release(key, force=force)
-        return True
-
-    def pin_count(self, key: tuple) -> int:
-        blk = self._blocks.get(key)
-        return blk.pins if blk is not None else 0
-
-    def mark_clean(self, key: tuple) -> None:
-        blk = self._blocks.get(key)
-        if blk is not None:
-            blk.dirty = False
-
-    # -- prefetch staging -----------------------------------------------------
-
-    def stage(self, key: tuple, data: np.ndarray) -> BufferedBlock:
-        """Install a prefetched block, pinned-on-stage.
-
-        The stage pin guarantees neither LRU pressure nor an eviction sweep
-        can drop the block between staging and consumption;
-        :meth:`consume_staged` hands that pin to the consumer atomically.
-        Stage marks accumulate: a block the plan reads twice inside the
-        lookahead window carries two marks and two pins.
-        """
-        blk = self.put(key, data, pin=1)
-        blk.staged += 1
-        tracer = obs_trace.CURRENT
-        if tracer is not None:
-            tracer.instant("pool.stage", "pool", key=str(key),
-                           bytes=blk.nbytes, staged=blk.staged)
-        return blk
-
-    def consume_staged(self, key: tuple, pin: int = 1) -> BufferedBlock:
-        """Convert one stage mark into ``pin`` consumer pins, atomically.
-
-        The net pin change is ``pin - 1`` (the stage pin is surrendered in
-        the same transition), so the block is never observable unpinned in
-        between.  Raises :class:`BufferPoolError` when ``key`` carries no
-        stage mark — consuming a block nobody staged is an engine bug.
-        """
-        blk = self._blocks.get(key)
-        if blk is None or blk.staged <= 0:
-            raise BufferPoolError(f"consume of non-staged block {key}")
-        blk.staged -= 1
-        blk.pins += pin - 1
-        self._blocks.move_to_end(key)
-        return blk
-
-    def discard_staged(self, key: tuple) -> bool:
-        """Drop one stage mark and its pin (pipeline-teardown path).
-
-        Staged data came straight from disk, so dropping it loses nothing;
-        the block is released once no pins remain.  Returns ``True`` iff a
-        mark was dropped.
-        """
-        blk = self._blocks.get(key)
-        if blk is None or blk.staged <= 0:
-            return False
-        blk.staged -= 1
-        blk.pins -= 1
-        if blk.pins <= 0:
-            self.release(key)
-        return True
-
-    # -- introspection --------------------------------------------------------------
-
-    def resident_keys(self) -> list[tuple]:
-        return list(self._blocks)
-
-    def pinned_bytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks.values() if b.pins > 0)
-
-    def total_pins(self) -> int:
-        """Sum of all pin counts — 0 on a quiesced pool (leak check)."""
-        return sum(b.pins for b in self._blocks.values())
-
-    def staged_marks(self) -> int:
-        """Resident blocks still carrying a stage mark — 0 once every
-        pipeline has consumed or discarded its staging (leak check)."""
-        return sum(1 for b in self._blocks.values() if b.staged)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __repr__(self) -> str:
-        cap = "unbounded" if self.cap_bytes is None else f"{self.cap_bytes}B"
-        return (f"BufferPool({len(self._blocks)} blocks, {self.used_bytes}B used, "
-                f"cap {cap}, peak {self.peak_bytes}B)")
-
-
-class SharedBufferPool(BufferPool):
-    """Thread-safe :class:`BufferPool` shared by concurrent queries.
-
-    The inter-query sharing substrate of :mod:`repro.service`: one pool,
-    one global byte cap, many executor threads.  Three additions over the
-    single-threaded base:
-
-    * **one lock** (a condition over an ``RLock``) serializes every
-      residency / pin / eviction transition, so the cap is never exceeded
-      and a pinned block is never evicted, exactly as in the sequential
-      pool;
-    * **loader de-duplication** — a fetch that must go to disk marks the
-      key *in flight* and drops the lock while the loader runs; concurrent
-      fetches of the same key wait on the condition instead of issuing a
-      second disk read, while fetches of other keys proceed in parallel;
-    * **per-owner pin accounting** — pins taken with an ``owner`` tag are
-      remembered per owner, so :meth:`release_owner` can drop everything a
-      crashed query still held without touching other queries' pins.
-    """
-
-    thread_safe = True
-
-    def __init__(self, cap_bytes: int | None = None):
-        super().__init__(cap_bytes)
-        self._cond = threading.Condition(threading.RLock())
-        self._loading: set[tuple] = set()
-        self._owner_pins: dict[Hashable, dict[tuple, int]] = {}
-
-    # -- residency ------------------------------------------------------------
-
-    def contains(self, key: tuple) -> bool:
-        with self._cond:
-            return key in self._blocks
-
-    def fetch(self, key: tuple, loader: Callable[[], np.ndarray],
-              pin: int = 0, owner: Hashable | None = None) -> BufferedBlock:
-        tracer = obs_trace.CURRENT
-        with self._cond:
-            while True:
-                blk = self._blocks.get(key)
-                if blk is not None:
-                    self.hits += 1
-                    if tracer is not None:
-                        tracer.instant("pool.hit", "pool", key=str(key))
-                    self._blocks.move_to_end(key)
-                    self._pin_locked(key, blk, pin, owner)
-                    return blk
-                if key not in self._loading:
-                    self._loading.add(key)
-                    break
-                # Another thread is already reading this block from disk:
-                # wait for it instead of issuing a duplicate read.
-                self._cond.wait()
-        # Load outside the lock — distinct keys load in parallel and the
-        # pool stays responsive during (possibly fault-retried) disk I/O.
-        try:
-            data = loader()
-        except BaseException:
-            with self._cond:
-                self._loading.discard(key)
-                self._cond.notify_all()
-            raise
-        with self._cond:
-            self._loading.discard(key)
-            self.misses += 1
-            if tracer is not None:
-                tracer.instant("pool.miss", "pool", key=str(key))
-            blk = self._admit(key, data)
-            self._pin_locked(key, blk, pin, owner)
-            self._cond.notify_all()
-            return blk
-
-    def put(self, key: tuple, data: np.ndarray, dirty: bool = False,
-            pin: int = 0, owner: Hashable | None = None,
-            force: bool = False) -> BufferedBlock:
-        with self._cond:
-            blk = super().put(key, data, dirty, force=force)
-            self._pin_locked(key, blk, pin, owner)
-            self._cond.notify_all()
-            return blk
-
-    # -- prefetch staging -----------------------------------------------------
-
-    def stage(self, key: tuple, data: np.ndarray,
-              owner: Hashable | None = None) -> BufferedBlock:
-        with self._cond:
-            blk = self.put(key, data, pin=1, owner=owner)
-            blk.staged += 1
-            tracer = obs_trace.CURRENT
-            if tracer is not None:
-                tracer.instant("pool.stage", "pool", key=str(key),
-                               bytes=blk.nbytes, staged=blk.staged)
-            return blk
-
-    def consume_staged(self, key: tuple, pin: int = 1,
-                       owner: Hashable | None = None) -> BufferedBlock:
-        with self._cond:
-            blk = self._blocks.get(key)
-            if blk is None or blk.staged <= 0:
-                raise BufferPoolError(f"consume of non-staged block {key}")
-            blk.staged -= 1
-            self._drop_pin_locked(key, blk, owner)
-            self._pin_locked(key, blk, pin, owner)
-            self._blocks.move_to_end(key)
-            self._cond.notify_all()
-            return blk
-
-    def discard_staged(self, key: tuple,
-                       owner: Hashable | None = None) -> bool:
-        with self._cond:
-            blk = self._blocks.get(key)
-            if blk is None or blk.staged <= 0:
-                return False
-            blk.staged -= 1
-            self._drop_pin_locked(key, blk, owner)
-            if blk.pins <= 0:
-                super().release(key)
-            self._cond.notify_all()
-            return True
-
-    # -- pinning -----------------------------------------------------------------
-
-    def _drop_pin_locked(self, key: tuple, blk: BufferedBlock,
-                         owner: Hashable | None) -> None:
-        blk.pins -= 1
-        if owner is not None:
-            held = self._owner_pins.get(owner)
-            if held and key in held:
-                held[key] -= 1
-                if held[key] <= 0:
-                    del held[key]
-
-    def _pin_locked(self, key: tuple, blk: BufferedBlock, n: int,
-                    owner: Hashable | None) -> None:
-        if n <= 0:
-            return
+    def _add_pins(self, blk: BufferedBlock, n: int,
+                  owner: Hashable | None) -> None:
+        """Move ``blk``'s pin count by ``n`` (either sign), keeping
+        ``owner``'s ledger in step."""
         blk.pins += n
-        if owner is not None:
+        if n and owner is not None:
             held = self._owner_pins.setdefault(owner, {})
-            held[key] = held.get(key, 0) + n
+            held[blk.key] = held.get(blk.key, 0) + n
+            if held[blk.key] <= 0:
+                del held[blk.key]
 
     def pin(self, key: tuple, owner: Hashable | None = None) -> None:
-        with self._cond:
+        with self._lock:
             blk = self._blocks.get(key)
             if blk is None:
                 raise BufferPoolError(f"pin of non-resident block {key}")
-            self._pin_locked(key, blk, 1, owner)
+            self._add_pins(blk, 1, owner)
             tracer = obs_trace.CURRENT
             if tracer is not None:
                 tracer.instant("pool.pin", "pool", key=str(key), pins=blk.pins)
 
     def unpin(self, key: tuple, owner: Hashable | None = None) -> None:
-        with self._cond:
+        with self._lock:
             blk = self._blocks.get(key)
             if blk is None:
                 raise BufferPoolError(f"unpin of non-resident block {key}")
             if blk.pins <= 0:
                 raise BufferPoolError(f"unpin without pin on {key}")
-            blk.pins -= 1
-            if owner is not None:
-                held = self._owner_pins.get(owner)
-                if held and key in held:
-                    held[key] -= 1
-                    if held[key] <= 0:
-                        del held[key]
+            self._add_pins(blk, -1, owner)
             tracer = obs_trace.CURRENT
             if tracer is not None:
                 tracer.instant("pool.unpin", "pool", key=str(key), pins=blk.pins)
@@ -487,7 +263,7 @@ class SharedBufferPool(BufferPool):
         Returns the number of pins released.  Blocks themselves stay
         resident — unpinned, they are normal LRU victims.
         """
-        with self._cond:
+        with self._lock:
             held = self._owner_pins.pop(owner, {})
             released = 0
             for key, n in held.items():
@@ -499,161 +275,162 @@ class SharedBufferPool(BufferPool):
             return released
 
     def owner_pin_count(self, owner: Hashable) -> int:
-        with self._cond:
+        with self._lock:
             return sum(self._owner_pins.get(owner, {}).values())
+
+    def release(self, key: tuple, force: bool = False) -> None:
+        """Drop a block regardless of LRU position (pins must be zero).
+
+        A dirty block holds data that never reached disk; dropping it is the
+        same data loss ``_make_room`` refuses, so it raises here too unless
+        ``force=True`` (teardown escape hatch for callers that know the data
+        is dead).
+        """
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is None:
+                return
+            if blk.pins > 0:
+                raise BufferPoolError(f"release of pinned block {key}")
+            if blk.dirty and not force:
+                raise BufferPoolError(
+                    f"release of dirty block {key} would discard unwritten data "
+                    f"(schedule its write-back, or pass force=True to drop it)")
+            del self._blocks[key]
+            self.used_bytes -= blk.nbytes
+
+    def release_if_unpinned(self, key: tuple, force: bool = False) -> bool:
+        """Drop ``key`` iff it is resident with a zero pin count.
+
+        The plan-exact engine's end-of-instance sweep: returns ``True`` when
+        the block was dropped, ``False`` when it is absent or still pinned.
+        Dirty blocks raise exactly as :meth:`release` does.
+        """
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is None or blk.pins > 0:
+                return False
+            self.release(key, force=force)
+            return True
 
     def drop_matching(self, pred: Callable[[tuple], bool],
                       force: bool = False) -> int:
         """Release every unpinned resident block whose key satisfies
         ``pred`` (e.g. a finished query's private blocks).  Returns the
         number of blocks dropped."""
-        with self._cond:
+        with self._lock:
             victims = [k for k, b in self._blocks.items()
                        if b.pins == 0 and pred(k)]
             for key in victims:
-                super().release(key, force=force)
+                self.release(key, force=force)
             return len(victims)
 
-    # -- locked passthroughs of the single-threaded surface ----------------------
-
-    def release(self, key: tuple, force: bool = False) -> None:
-        with self._cond:
-            super().release(key, force)
-
-    def release_if_unpinned(self, key: tuple, force: bool = False) -> bool:
-        with self._cond:
-            return super().release_if_unpinned(key, force)
-
     def pin_count(self, key: tuple) -> int:
-        with self._cond:
-            return super().pin_count(key)
+        with self._lock:
+            blk = self._blocks.get(key)
+            return blk.pins if blk is not None else 0
 
     def mark_clean(self, key: tuple) -> None:
-        with self._cond:
-            super().mark_clean(key)
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is not None:
+                blk.dirty = False
+
+    # -- prefetch staging -----------------------------------------------------
+
+    def stage(self, key: tuple, data: np.ndarray,
+              owner: Hashable | None = None) -> BufferedBlock:
+        """Install a prefetched block, pinned-on-stage.
+
+        The stage pin guarantees neither LRU pressure nor an eviction sweep
+        can drop the block between staging and consumption;
+        :meth:`consume_staged` hands that pin to the consumer atomically.
+        Stage marks accumulate: a block the plan reads twice inside the
+        lookahead window carries two marks and two pins.
+        """
+        with self._lock:
+            blk = self.put(key, data, pin=1, owner=owner)
+            blk.staged += 1
+            tracer = obs_trace.CURRENT
+            if tracer is not None:
+                tracer.instant("pool.stage", "pool", key=str(key),
+                               bytes=blk.nbytes, staged=blk.staged)
+            return blk
+
+    def consume_staged(self, key: tuple, pin: int = 1,
+                       owner: Hashable | None = None) -> BufferedBlock:
+        """Convert one stage mark into ``pin`` consumer pins, atomically.
+
+        The net pin change is ``pin - 1`` (the stage pin is surrendered in
+        the same transition), so the block is never observable unpinned in
+        between.  Raises :class:`BufferPoolError` when ``key`` carries no
+        stage mark — consuming a block nobody staged is an engine bug.
+        """
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is None or blk.staged <= 0:
+                raise BufferPoolError(f"consume of non-staged block {key}")
+            blk.staged -= 1
+            self._add_pins(blk, -1, owner)
+            self._add_pins(blk, pin, owner)
+            self._blocks.move_to_end(key)
+            return blk
+
+    def discard_staged(self, key: tuple,
+                       owner: Hashable | None = None) -> bool:
+        """Drop one stage mark and its pin (pipeline-teardown path).
+
+        Staged data came straight from disk, so dropping it loses nothing;
+        the block is released once no pins remain (unless a dirty ``put``
+        has replaced the staged bytes since — that block waits for its
+        write-back like any other).  Returns ``True`` iff a mark was dropped.
+        """
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is None or blk.staged <= 0:
+                return False
+            blk.staged -= 1
+            self._add_pins(blk, -1, owner)
+            if blk.pins <= 0 and not blk.dirty:
+                self.release(key)
+            return True
+
+    # -- introspection --------------------------------------------------------------
 
     def resident_keys(self) -> list[tuple]:
-        with self._cond:
-            return super().resident_keys()
+        with self._lock:
+            return list(self._blocks)
+
+    def resident_bytes(self) -> int:
+        """``used_bytes`` recounted from the resident blocks (leak check)."""
+        with self._lock:
+            return sum(b.nbytes for b in self._blocks.values())
 
     def pinned_bytes(self) -> int:
-        with self._cond:
-            return super().pinned_bytes()
+        with self._lock:
+            return sum(b.nbytes for b in self._blocks.values() if b.pins > 0)
 
     def total_pins(self) -> int:
-        with self._cond:
-            return super().total_pins()
+        """Sum of all pin counts — 0 on a quiesced pool (leak check)."""
+        with self._lock:
+            return sum(b.pins for b in self._blocks.values())
 
     def staged_marks(self) -> int:
-        with self._cond:
-            return super().staged_marks()
+        """Resident blocks still carrying a stage mark — 0 once every
+        pipeline has consumed or discarded its staging (leak check)."""
+        with self._lock:
+            return sum(1 for b in self._blocks.values() if b.staged)
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._blocks)
 
-
-class LockedPool:
-    """Serializing adapter giving a single-threaded pool a thread-safe surface.
-
-    The prefetch pipeline's reader threads mutate the pool concurrently
-    with the engine's compute thread.  Pools that advertise
-    ``thread_safe = True`` (:class:`SharedBufferPool`, the service's
-    ``JobPoolView``) are used directly; a plain private :class:`BufferPool`
-    is wrapped in this adapter, which funnels every transition through one
-    lock.  ``fetch`` runs its loader under the lock — acceptable in the
-    engine, where prefetch makes loader-bearing fetches the rare fallback.
-    """
-
-    thread_safe = True
-
-    __slots__ = ("pool", "_lock")
-
-    def __init__(self, pool: BufferPool):
-        self.pool = pool
-        self._lock = threading.Lock()
-
-    def contains(self, key: tuple) -> bool:
-        with self._lock:
-            return self.pool.contains(key)
-
-    def fetch(self, key: tuple, loader: Callable[[], np.ndarray],
-              pin: int = 0) -> BufferedBlock:
-        with self._lock:
-            return self.pool.fetch(key, loader, pin=pin)
-
-    def put(self, key: tuple, data: np.ndarray, dirty: bool = False,
-            pin: int = 0, force: bool = False) -> BufferedBlock:
-        with self._lock:
-            return self.pool.put(key, data, dirty, pin=pin, force=force)
-
-    def stage(self, key: tuple, data: np.ndarray) -> BufferedBlock:
-        with self._lock:
-            return self.pool.stage(key, data)
-
-    def consume_staged(self, key: tuple, pin: int = 1) -> BufferedBlock:
-        with self._lock:
-            return self.pool.consume_staged(key, pin=pin)
-
-    def discard_staged(self, key: tuple) -> bool:
-        with self._lock:
-            return self.pool.discard_staged(key)
-
-    def pin(self, key: tuple) -> None:
-        with self._lock:
-            self.pool.pin(key)
-
-    def unpin(self, key: tuple) -> None:
-        with self._lock:
-            self.pool.unpin(key)
-
-    def release(self, key: tuple, force: bool = False) -> None:
-        with self._lock:
-            self.pool.release(key, force)
-
-    def release_if_unpinned(self, key: tuple, force: bool = False) -> bool:
-        with self._lock:
-            return self.pool.release_if_unpinned(key, force)
-
-    def pin_count(self, key: tuple) -> int:
-        with self._lock:
-            return self.pool.pin_count(key)
-
-    def mark_clean(self, key: tuple) -> None:
-        with self._lock:
-            self.pool.mark_clean(key)
-
-    def resident_keys(self) -> list[tuple]:
-        with self._lock:
-            return self.pool.resident_keys()
-
-    def pinned_bytes(self) -> int:
-        with self._lock:
-            return self.pool.pinned_bytes()
-
-    def total_pins(self) -> int:
-        with self._lock:
-            return self.pool.total_pins()
-
-    def staged_marks(self) -> int:
-        with self._lock:
-            return self.pool.staged_marks()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.pool)
-
     def __repr__(self) -> str:
-        return f"LockedPool({self.pool!r})"
+        cap = "unbounded" if self.cap_bytes is None else f"{self.cap_bytes}B"
+        return (f"BufferPool({len(self._blocks)} blocks, {self.used_bytes}B used, "
+                f"cap {cap}, peak {self.peak_bytes}B)")
 
 
-def _delegate_stat(field: str) -> property:
-    def fget(self):
-        return getattr(self.pool, field)
-
-    return property(fget)
-
-
-for _f in ("cap_bytes",) + BufferPool._COUNTERS + BufferPool._GAUGES:
-    setattr(LockedPool, _f, _delegate_stat(_f))
-del _f
+#: Not a second class: ``benchmarks/e2e/workloads.py`` (closed to ``src/``
+#: changes) and ``tests/storage/test_shared_pool.py`` build the pool by this name.
+SharedBufferPool = BufferPool

@@ -15,7 +15,7 @@ from repro.exceptions import (BufferPoolError, CorruptBlockError,
 from repro.ir import ArrayKind
 from repro.optimizer import IOModel, optimize
 from repro.storage import (BufferPool, DAFMatrix, FaultInjector, FaultPolicy,
-                           LockedPool, RetryPolicy, SimulatedDisk)
+                           RetryPolicy, SimulatedDisk)
 from tests.fixtures import example1_program
 
 P = {"n1": 2, "n2": 2, "n3": 2}
@@ -266,7 +266,7 @@ class TestPipelineUnit:
     def test_contiguous_run_reads_as_one_op(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(i, 0) for i in range(4)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8)
         try:
@@ -287,7 +287,7 @@ class TestPipelineUnit:
     def test_depth_one_reads_block_at_a_time(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(i, 0) for i in range(4)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=1)
         try:
@@ -304,7 +304,7 @@ class TestPipelineUnit:
     def test_budget_bounds_inflight_bytes(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(i, 0) for i in range(4)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8,
                                 budget_bytes=2 * bb)
@@ -321,7 +321,7 @@ class TestPipelineUnit:
     def test_oversized_item_left_to_main_thread(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(i, 0) for i in range(4)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8,
                                 budget_bytes=bb - 1)
@@ -337,7 +337,7 @@ class TestPipelineUnit:
     def test_write_barrier_defers_staging(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(0, 0)], barriers=[2])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8)
         try:
@@ -355,7 +355,7 @@ class TestPipelineUnit:
             store = DAFMatrix.create(disk, "A", (2, 1), (4, 4))
             store.write_matrix(np.ones((8, 4)), count=False)
             _corrupt_block(store, (1, 0))
-            pool = LockedPool(BufferPool())
+            pool = BufferPool()
             items = _stub_items("A", store.layout.block_bytes,
                                 [(0, 0), (1, 0)])
             pipe = PrefetchPipeline(items, {"A": store}, pool, depth=1)
@@ -376,7 +376,7 @@ class TestPipelineUnit:
     def test_close_discards_staged_unconsumed(self, daf4):
         disk, store = daf4
         bb = store.layout.block_bytes
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", bb, [(i, 0) for i in range(4)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8)
         assert _wait_for(lambda: pipe.stats.staged_blocks == 4)
@@ -391,7 +391,7 @@ class TestPipelineUnit:
 
     def test_consume_order_mismatch_is_typed(self, daf4):
         disk, store = daf4
-        pool = LockedPool(BufferPool())
+        pool = BufferPool()
         items = _stub_items("A", store.layout.block_bytes,
                             [(0, 0), (1, 0)])
         pipe = PrefetchPipeline(items, {"A": store}, pool, depth=8)
@@ -401,18 +401,11 @@ class TestPipelineUnit:
         finally:
             pipe.close()
 
-    def test_unsafe_pool_rejected(self, daf4):
-        disk, store = daf4
-        items = _stub_items("A", store.layout.block_bytes, [(0, 0)])
-        with pytest.raises(ExecutionError, match="thread-safe"):
-            PrefetchPipeline(items, {"A": store}, BufferPool(), depth=4)
-
     def test_bad_depth_rejected(self, daf4):
         disk, store = daf4
         items = _stub_items("A", store.layout.block_bytes, [(0, 0)])
         with pytest.raises(ExecutionError, match="depth"):
-            PrefetchPipeline(items, {"A": store}, LockedPool(BufferPool()),
-                             depth=0)
+            PrefetchPipeline(items, {"A": store}, BufferPool(), depth=0)
 
 
 class TestReadSequence:

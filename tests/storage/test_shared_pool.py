@@ -11,7 +11,9 @@ The invariants a shared pool must hold under contention:
   a crashed query leaked without touching other owners' pins.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +62,30 @@ def _fail_loader(key):
     def load():
         raise AssertionError(f"unexpected load of {key}")
     return load
+
+
+def _run_bounded(fn, *args, timeout=10):
+    """Start ``fn(*args)`` on a daemon thread; ``finish()`` joins it within
+    ``timeout`` and returns what it returned or raised.  A hung call fails
+    the test instead of the run."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn(*args)
+        except BaseException as err:
+            box["result"] = err
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def finish():
+        thread.join(timeout)
+        assert not thread.is_alive(), f"{fn.__name__}{args} still blocked"
+        return box["result"]
+
+    finish.thread = thread
+    return finish
 
 
 class TestLoaderDedup:
@@ -125,6 +151,45 @@ class TestLoaderDedup:
         assert "raised" in results
         assert 1.0 in results  # the waiter re-drove the load itself
 
+    def test_refused_admit_wakes_waiters_and_they_fail_typed(self):
+        """A load the *cap* refuses must wake the fetches that joined it,
+        exactly as a load whose loader raised does: they were left asleep in
+        the condition for good, never reaching a cancel checkpoint."""
+        pool = SharedBufferPool(BLOCK_BYTES)
+        pool.fetch(("full", (0,)), lambda: _data(0), pin=1)
+        key = ("k", (0,))
+        loading, release, b_calling = (threading.Event() for _ in range(3))
+        b_loads = []
+
+        def slow_loader():
+            loading.set()
+            release.wait(5)
+            return _data(1)
+
+        def b_loader():
+            b_loads.append(key)
+            return _data(1)
+
+        def fetch_b():
+            b_calling.set()
+            return pool.fetch(key, b_loader, pin=1, owner="B")
+
+        a = _run_bounded(pool.fetch, key, slow_loader, 1, "A")
+        assert loading.wait(5)          # A owns the in-flight slot
+        b = _run_bounded(fetch_b)
+        assert b_calling.wait(5)
+        time.sleep(0.1)
+        assert b.thread.is_alive() and not b_loads     # B joined A's load
+        release.set()
+        assert isinstance(a(), BufferPoolError)
+        assert isinstance(b(), BufferPoolError)
+        assert b_loads                  # woken, B tried for itself
+        assert pool.total_pins() == 1
+        assert pool.owner_pin_count("A") == pool.owner_pin_count("B") == 0
+        # Nothing is left marked in flight: with room, a plain fetch loads.
+        pool.unpin(("full", (0,)))
+        assert _run_bounded(pool.fetch, key, lambda: _data(1))().data[0] == 1.0
+
     def test_distinct_keys_load_in_parallel(self):
         pool = SharedBufferPool(1 << 20)
         gate = threading.Barrier(2, timeout=5)
@@ -143,6 +208,51 @@ class TestLoaderDedup:
             t.start()
         for t in threads:
             t.join()  # would deadlock if loads were serialized
+
+
+class TestInstallDuringLoad:
+    """A block installed while another fetch's loader for the same key is
+    running — a plan-exact READ's ``put`` or a prefetcher's ``stage`` beside
+    an opportunistic fetch — must survive that load's return.  The loader
+    runs outside a re-entrant lock, so it can stand in for the other thread.
+    """
+
+    KEY = ("ds_abc", (0,))
+
+    def _check_and_drain(self, pool, installed, blk):
+        assert blk is installed
+        assert pool.used_bytes == BLOCK_BYTES and len(pool) == 1
+        assert pool.pin_count(self.KEY) == 2
+        assert pool.owner_pin_count("j1") == pool.owner_pin_count("j2") == 1
+        assert (pool.hits, pool.misses) == (0, 1)   # the read did happen
+        pool.unpin(self.KEY, owner="j1")
+        pool.unpin(self.KEY, owner="j2")
+        pool.release(self.KEY)
+        assert pool.used_bytes == 0 and pool.total_pins() == 0
+
+    def test_stage_during_load_keeps_its_mark_and_pin(self):
+        pool = SharedBufferPool()
+        installed = []
+
+        def loader():
+            installed.append(pool.stage(self.KEY, _data(7), owner="j2"))
+            return _data(7)
+
+        blk = pool.fetch(self.KEY, loader, pin=1, owner="j1")
+        assert pool.staged_marks() == 1
+        assert pool.consume_staged(self.KEY, owner="j2") is blk
+        self._check_and_drain(pool, installed[0], blk)
+
+    def test_put_during_load_keeps_its_pin(self):
+        pool = SharedBufferPool()
+        installed = []
+
+        def loader():
+            installed.append(pool.put(self.KEY, _data(7), pin=1, owner="j2"))
+            return _data(7)
+
+        blk = pool.fetch(self.KEY, loader, pin=1, owner="j1")
+        self._check_and_drain(pool, installed[0], blk)
 
 
 class TestOwnerPins:
@@ -228,6 +338,54 @@ class TestStress:
         assert pool.hits + pool.misses == fetches
         # Under a cap of 12 blocks and 24 hot keys there was real pressure.
         assert pool.evictions > 0
+        for tid in range(self.THREADS):
+            assert pool.owner_pin_count(f"t{tid}") == 0
+
+    def test_mixed_installs_keep_every_ledger(self):
+        """Fetches through a loader, plan-exact ``put``s and prefetch
+        ``stage``s of the same few keys from more threads than cores, with
+        the interpreter switching threads as often as it can: a lost update
+        shows as a stage mark that is gone when its owner consumes it, or
+        as a byte ledger that no longer matches what is resident."""
+        pool = SharedBufferPool()
+        errors = []
+
+        def worker(tid):
+            rng = np.random.default_rng(tid)
+            owner = f"t{tid}"
+            try:
+                for _ in range(200):
+                    key_id = int(rng.integers(3))
+                    key = ("ds", (key_id,))
+                    op = int(rng.integers(3))
+                    if op == 0:
+                        def load():
+                            time.sleep(0)       # let an install slip in
+                            return _data(key_id)
+                        pool.fetch(key, load, pin=1, owner=owner)
+                    elif op == 1:
+                        pool.put(key, _data(key_id), pin=1, owner=owner)
+                    else:
+                        pool.stage(key, _data(key_id), owner=owner)
+                        pool.consume_staged(key, owner=owner)
+                    pool.unpin(key, owner=owner)
+                    pool.release_if_unpinned(key)
+            except BaseException as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [_run_bounded(worker, i, timeout=60)
+                       for i in range(self.THREADS)]
+            for finish in workers:
+                finish()
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]
+        assert pool.used_bytes == pool.resident_bytes()
+        assert pool.total_pins() == pool.staged_marks() == 0
         for tid in range(self.THREADS):
             assert pool.owner_pin_count(f"t{tid}") == 0
 
