@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..exceptions import ProgramError
-from ..ir import Access, AccessType, Program, Schedule, precedence_disjuncts
+from ..ir import (Access, AccessType, Program, Schedule, StatementEvents,
+                  precedence_disjuncts)
 from ..polyhedral import Polyhedron, PolyhedralSet, Space
 
 __all__ = ["CoAccess", "SRC_PREFIX", "TGT_PREFIX", "build_extent",
@@ -42,13 +43,14 @@ def product_space(src: Access, tgt: Access, params: Iterable[str]) -> Space:
 class CoAccess:
     """A co-access pair with its (possibly pruned) extent set."""
 
-    __slots__ = ("src", "tgt", "extent", "_pairs_cache")
+    __slots__ = ("src", "tgt", "extent", "_pairs_cache", "_events_cache")
 
     def __init__(self, src: Access, tgt: Access, extent: PolyhedralSet):
         self.src = src
         self.tgt = tgt
         self.extent = extent
         self._pairs_cache: dict[tuple, list] = {}
+        self._events_cache: dict[tuple, tuple] = {}
 
     @property
     def type(self) -> tuple[AccessType, AccessType]:
@@ -89,6 +91,28 @@ class CoAccess:
                 out.add((pt[:sd], pt[sd:sd + self.tgt.statement.depth]))
             self._pairs_cache[key] = sorted(out)
         return self._pairs_cache[key]
+
+    def event_pairs(self, params: Mapping[str, int],
+                    src_events: StatementEvents,
+                    tgt_events: StatementEvents) -> list[tuple[int, int]]:
+        """:meth:`pairs` as (source, target) positions in the two
+        statements' event tables, dropping pairs either table lacks.
+
+        Memoized per parameter binding beside the pairs, and valid for the
+        tables it was computed against."""
+        key = tuple(sorted(params.items()))
+        cached = self._events_cache.get(key)
+        if cached is not None and cached[0] is src_events \
+                and cached[1] is tgt_events:
+            return cached[2]
+        out = []
+        for ps, pt in self.pairs(params):
+            i = src_events.position(self.src, ps)
+            j = tgt_events.position(self.tgt, pt)
+            if i is not None and j is not None:
+                out.append((i, j))
+        self._events_cache[key] = (src_events, tgt_events, out)
+        return out
 
     def with_extent(self, extent: PolyhedralSet) -> "CoAccess":
         return CoAccess(self.src, self.tgt, extent)

@@ -135,6 +135,14 @@ class AffineExpr:
             total += coeff * as_fraction(bindings[name])
         return total
 
+    def int_form(self) -> tuple[int, tuple[tuple[str, int], ...]] | None:
+        """``(const, ((name, coeff), ...))`` when every coefficient and the
+        constant are integers, else None."""
+        form = self._intform
+        if form is None:
+            form = self._compile_int_form()
+        return form or None
+
     def _compile_int_form(self) -> tuple | bool:
         if self.const.denominator != 1 or any(
                 c.denominator != 1 for c in self.coeffs.values()):

@@ -21,11 +21,14 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..exceptions import ProgramError
 from ..polyhedral import Polyhedron, Space
 from .expr import AffineExpr, affine
 
-__all__ = ["AccessType", "Array", "Access", "Statement", "Program", "ArrayKind"]
+__all__ = ["AccessType", "Array", "Access", "Statement", "StatementEvents",
+           "Program", "ArrayKind"]
 
 
 class AccessType(enum.Enum):
@@ -205,7 +208,9 @@ class Statement:
         # Textual position in the original program: one beta constant per
         # nesting level plus the trailing position (see schedule module).
         self.position: tuple[int, ...] = tuple(position)
-        self._instances_cache: dict[tuple, list[tuple[int, ...]]] = {}
+        # Per parameter binding: the instances, and under ("events", key)
+        # the statement's StatementEvents.
+        self._instances_cache: dict[tuple, object] = {}
         writes = [a for a in self.accesses if a.is_write]
         if len(writes) > 1:
             raise ProgramError(f"statement {name} has {len(writes)} writes (max 1)")
@@ -238,8 +243,77 @@ class Statement:
             self._instances_cache[key] = self.domain.bind(params).integer_points()
         return self._instances_cache[key]
 
+    def events(self, params: Mapping[str, int]) -> "StatementEvents":
+        """The schedule-independent access events for bound parameters
+        (memoized beside :meth:`instances`; one table per binding even when
+        several threads ask at once)."""
+        key = ("events", tuple(sorted(params.items())))
+        table = self._instances_cache.get(key)
+        if table is None:
+            table = self._instances_cache.setdefault(
+                key, StatementEvents(self, params))
+        return table
+
     def __repr__(self) -> str:
         return f"Statement({self.name}, vars={self.loop_vars}, kernel={self.kernel})"
+
+
+class StatementEvents:
+    """One statement's access events for bound parameters, in instance
+    order: the part of every plan's trace that no schedule can change.
+
+    Instance ``k`` is ``points[k]`` (``matrix`` holds the points as an int64
+    array) and owns events ``starts[k]`` up to ``starts[k + 1]``.  Event
+    ``e`` is access ``statement.accesses[slot[e]]`` at instance ``inst[e]``,
+    touching ``block[e]``; ``block_key[e]`` prefixes the array name.  An
+    access whose guard fails at an instance has no event there.
+    """
+
+    __slots__ = ("statement", "points", "matrix", "starts", "inst", "slot",
+                 "block", "block_key", "_lookup")
+
+    def __init__(self, statement: Statement, params: Mapping[str, int]):
+        self.statement = statement
+        self.points = statement.instances(params)
+        self.matrix = np.array(self.points, dtype=np.int64).reshape(
+            len(self.points), statement.depth)
+        self.starts: list[int] = [0]
+        self.inst: list[int] = []
+        self.slot: list[int] = []
+        self.block: list[tuple[int, ...]] = []
+        self.block_key: list[tuple] = []
+        shared: dict[tuple, tuple] = {}  # one key object per distinct block
+        for k, point in enumerate(self.points):
+            for s, access in enumerate(statement.accesses):
+                if access.guard_holds(point, params):
+                    key = (access.array.name, access.block_at(point, params))
+                    key = shared.setdefault(key, key)
+                    self.inst.append(k)
+                    self.slot.append(s)
+                    self.block.append(key[1])
+                    self.block_key.append(key)
+            self.starts.append(len(self.inst))
+        self._lookup: tuple[dict, list[int], dict] | None = None
+
+    def position(self, access: Access, point: tuple[int, ...]) -> int | None:
+        """The event of ``point`` whose access has ``access``'s identity
+        (:meth:`Access.key`) — the last one, should two accesses share it."""
+        if self._lookup is None:
+            keys: dict[tuple, int] = {}
+            ids = [keys.setdefault(a.key(), len(keys))
+                   for a in self.statement.accesses]
+            at = {p: k for k, p in enumerate(self.points)}
+            self._lookup = (keys, ids, at)
+        keys, ids, at = self._lookup
+        kid = keys.get(access.key())
+        k = at.get(point)
+        if kid is None or k is None:
+            return None
+        found = None
+        for e in range(self.starts[k], self.starts[k + 1]):
+            if ids[self.slot[e]] == kid:
+                found = e
+        return found
 
 
 class Program:

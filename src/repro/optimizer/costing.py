@@ -17,21 +17,29 @@ Costs are computed exactly, at block granularity, for bound parameters:
 
 The paper evaluates these as piecewise quasipolynomials in the parameters;
 we count integer points instead (exact, and cheap at block granularity) —
-see DESIGN.md substitution #6.
+see DESIGN.md substitution #6.  The points, their accesses and blocks are
+enumerated once per program and parameter binding (each statement's event
+table, :meth:`repro.ir.Statement.events`); a plan adds only its schedule's
+time vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..analysis import SharingOpportunity
-from ..ir import Access, AccessType, ArrayKind, Program, Schedule
+from ..ir import Access, ArrayKind, Program, Schedule, StatementEvents
 
 __all__ = ["IOModel", "PlanCost", "PlanTrace", "evaluate_plan", "trace_plan",
            "collect_events", "ScheduledEvent"]
 
 MB = 1_000_000
+_NP_SAFE = 1 << 62  # int64 headroom for the time-vector product
+_time = attrgetter("time")
 
 
 class IOModel:
@@ -86,10 +94,12 @@ class PlanCost:
 class ScheduledEvent:
     """One access instance with its time under the evaluated schedule."""
 
-    __slots__ = ("access", "point", "block", "time", "bytes", "saved", "elided")
+    __slots__ = ("access", "point", "block", "time", "bytes", "saved", "elided",
+                 "is_write", "block_key")
 
     def __init__(self, access: Access, point: tuple[int, ...],
-                 block: tuple[int, ...], time: tuple[Fraction, ...], nbytes: int):
+                 block: tuple[int, ...], time: tuple[Fraction, ...], nbytes: int,
+                 is_write: bool, block_key: tuple):
         self.access = access
         self.point = point
         self.block = block
@@ -97,14 +107,89 @@ class ScheduledEvent:
         self.bytes = nbytes
         self.saved = False
         self.elided = False
+        self.is_write = is_write
+        self.block_key = block_key
 
-    @property
-    def block_key(self) -> tuple:
-        return (self.access.array.name, self.block)
 
-    @property
-    def is_write(self) -> bool:
-        return self.access.is_write
+def _block_bytes(access: Access, block_bytes: Mapping[str, int] | None) -> int:
+    """Bytes of one block of the accessed array; ``block_bytes`` overrides
+    an array's own block size by name."""
+    return (block_bytes or {}).get(access.array.name, access.array.block_bytes)
+
+
+def _integer_rows(rows, stmt, params: Mapping[str, int]):
+    """``(coefficients over the loop variables, constants)`` of schedule
+    rows that are integer-affine under integer bindings, else None."""
+    column = {v: i for i, v in enumerate(stmt.loop_vars)}
+    coeffs, consts = [], []
+    for expr in rows:
+        form = expr.int_form()
+        if form is None:
+            return None
+        const, terms = form
+        row = [0] * stmt.depth
+        for name, c in terms:
+            if name in params:  # a binding shadows a loop variable
+                if type(params[name]) is not int:
+                    return None
+                const += c * params[name]
+            elif name in column:
+                row[column[name]] = c
+            else:
+                return None  # unbound: evaluate() raises the error
+        coeffs.append(row)
+        consts.append(const)
+    return coeffs, consts
+
+
+def _instance_times(table: StatementEvents, schedule: Schedule,
+                    params: Mapping[str, int]) -> list[tuple]:
+    """Every instance's time vector under ``schedule``: one integer matrix
+    product when the rows are integer-affine and small, else row-by-row
+    evaluation."""
+    stmt = table.statement
+    rows = schedule.rows_for(stmt)
+    integer = _integer_rows(rows, stmt, params)
+    if integer is not None:
+        coeffs, consts = integer
+        points = table.matrix
+        pmax = int(np.abs(points).max()) if points.size else 0
+        cmax = max((abs(c) for row in coeffs for c in row), default=0)
+        if stmt.depth * cmax * pmax + max(map(abs, consts), default=0) < _NP_SAFE:
+            times = (points @ np.array(coeffs, dtype=np.int64).reshape(
+                len(rows), stmt.depth).T + np.array(consts, dtype=np.int64))
+            return [tuple(t) for t in times.tolist()]
+    return [schedule.time_vector(stmt, p, params) for p in table.points]
+
+
+def _scheduled_events(program: Program, params: Mapping[str, int],
+                      schedule: Schedule,
+                      block_bytes: Mapping[str, int] | None
+                      ) -> dict[str, tuple[StatementEvents, list[ScheduledEvent]]]:
+    """Per statement name: its event table and those events stamped with
+    ``schedule``'s times, in table order (reads at micro time 0, the write
+    at 1)."""
+    out = {}
+    for stmt in program.statements:
+        table = stmt.events(params)
+        slots = [(a, a.micro, a.is_write, _block_bytes(a, block_bytes))
+                 for a in stmt.accesses]
+        stamped = [(t + (0,), t + (1,))
+                   for t in _instance_times(table, schedule, params)]
+        points = table.points
+        out[stmt.name] = (table, [
+            ScheduledEvent(access, points[k], block, stamped[k][micro],
+                           nbytes, is_write, key)
+            for k, (access, micro, is_write, nbytes), block, key in zip(
+                table.inst, map(slots.__getitem__, table.slot), table.block,
+                table.block_key)])
+    return out
+
+
+def _in_time_order(scheduled: Mapping) -> list[ScheduledEvent]:
+    events = [ev for _, evs in scheduled.values() for ev in evs]
+    events.sort(key=_time)
+    return events
 
 
 def collect_events(program: Program, params: Mapping[str, int],
@@ -113,20 +198,8 @@ def collect_events(program: Program, params: Mapping[str, int],
                    ) -> list[ScheduledEvent]:
     """All access events ordered by the given schedule (reads before the
     write within one instance)."""
-    events: list[ScheduledEvent] = []
-    for stmt in program.statements:
-        for point in stmt.instances(params):
-            base_time = schedule.time_vector(stmt, point, params)
-            for access in stmt.accesses:
-                if not access.guard_holds(point, params):
-                    continue
-                nbytes = (block_bytes or {}).get(access.array.name,
-                                                 access.array.block_bytes)
-                events.append(ScheduledEvent(
-                    access, tuple(point), access.block_at(point, params),
-                    base_time + (access.micro,), nbytes))
-    events.sort(key=lambda e: e.time)
-    return events
+    return _in_time_order(_scheduled_events(program, params, schedule,
+                                            block_bytes))
 
 
 class PlanTrace:
@@ -150,20 +223,28 @@ def trace_plan(program: Program, params: Mapping[str, int],
                realized: Sequence[SharingOpportunity],
                dead_write_elimination: bool = True,
                block_bytes: Mapping[str, int] | None = None) -> PlanTrace:
-    """Annotate every access event with the plan's sharing decisions."""
-    events = collect_events(program, params, schedule, block_bytes)
-    index = {(ev.access.key(), ev.point): ev for ev in events}
+    """Annotate every access event with the plan's sharing decisions.
+
+    The events come from each statement's schedule-independent event table
+    (:meth:`repro.ir.Statement.events`), and each realized co-access's
+    pairs from its memoized event positions, so a plan costs only its time
+    vectors, one sort and the passes below.
+    """
+    scheduled = _scheduled_events(program, params, schedule, block_bytes)
+    events = _in_time_order(scheduled)
 
     held: list[tuple] = []
     for opp in realized:
         src, tgt = opp.co.src, opp.co.tgt
-        for (ps, pt) in opp.co.pairs(params):
-            es = index.get((src.key(), ps))
-            et = index.get((tgt.key(), pt))
-            if es is None or et is None:
-                continue
-            kind = (src.type, tgt.type)
-            if kind == (AccessType.WRITE, AccessType.WRITE):
+        src_side = scheduled.get(src.statement.name)
+        tgt_side = scheduled.get(tgt.statement.name)
+        if src_side is None or tgt_side is None:
+            continue
+        src_events, tgt_events = src_side[1], tgt_side[1]
+        write_write = src.is_write and tgt.is_write
+        for i, j in opp.co.event_pairs(params, src_side[0], tgt_side[0]):
+            es, et = src_events[i], tgt_events[j]
+            if write_write:
                 es.saved = True
                 continue
             early, late = (es, et) if es.time <= et.time else (et, es)
@@ -186,7 +267,7 @@ def _downgrade_unsound_write_saves(events: list[ScheduledEvent]) -> None:
     sacrificing that saving rather than correctness.
     """
     by_block: dict[tuple, list[ScheduledEvent]] = {}
-    for ev in sorted(events, key=lambda e: e.time):
+    for ev in events:  # already in time order
         by_block.setdefault(ev.block_key, []).append(ev)
     for chain in by_block.values():
         for i, ev in enumerate(chain):
@@ -212,15 +293,21 @@ def evaluate_plan(program: Program, params: Mapping[str, int],
                        dead_write_elimination, block_bytes)
     events, held = trace.events, trace.held
 
-    baseline_reads = sum(e.bytes for e in events if not e.is_write)
-    baseline_writes = sum(e.bytes for e in events if e.is_write)
-
-    read_bytes = sum(e.bytes for e in events if not e.is_write and not e.saved)
-    write_bytes = sum(e.bytes for e in events
-                      if e.is_write and not e.saved and not e.elided)
+    baseline_reads = baseline_writes = read_bytes = write_bytes = elided = 0
+    for e in events:
+        if e.is_write:
+            baseline_writes += e.bytes
+            if not e.saved:
+                if e.elided:
+                    elided += e.bytes
+                else:
+                    write_bytes += e.bytes
+        else:
+            baseline_reads += e.bytes
+            if not e.saved:
+                read_bytes += e.bytes
     saved_reads = baseline_reads - read_bytes
     saved_writes = baseline_writes - write_bytes
-    elided = sum(e.bytes for e in events if e.is_write and e.elided and not e.saved)
 
     memory = _memory_requirement(events, held)
     return PlanCost(read_bytes, write_bytes,
@@ -347,10 +434,9 @@ def opportunity_savings_seconds_bound(opp: SharingOpportunity,
     (duplicate pairs, pairs whose instances a schedule never co-locates)
     only makes the resulting lower bound looser, never unsound.
     """
-    tgt = opp.co.tgt
-    nbytes = (block_bytes or {}).get(tgt.array.name, tgt.array.block_bytes)
     npairs = len(opp.co.pairs(params))
-    return npairs * nbytes / min(io_model.read_bw, io_model.write_bw)
+    return (npairs * _block_bytes(opp.co.tgt, block_bytes)
+            / min(io_model.read_bw, io_model.write_bw))
 
 
 def elidable_write_bytes(program: Program, params: Mapping[str, int],
@@ -359,14 +445,10 @@ def elidable_write_bytes(program: Program, params: Mapping[str, int],
     every write to an intermediate array (footnote 8 only applies there)."""
     total = 0
     for stmt in program.statements:
-        for access in stmt.accesses:
-            if not access.is_write or access.array.kind is not ArrayKind.INTERMEDIATE:
-                continue
-            nbytes = (block_bytes or {}).get(access.array.name,
-                                             access.array.block_bytes)
-            count = sum(1 for p in stmt.instances(params)
-                        if access.guard_holds(p, params))
-            total += count * nbytes
+        for s in stmt.events(params).slot:
+            access = stmt.accesses[s]
+            if access.is_write and access.array.kind is ArrayKind.INTERMEDIATE:
+                total += _block_bytes(access, block_bytes)
     return total
 
 

@@ -18,6 +18,7 @@ from ..exceptions import OptimizationError
 from ..ir import Program
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..polyhedral import lp_memo
 from .apriori import (AprioriStats, enumerate_and_cost_pruned,
                       enumerate_feasible_sets)
 from .constraints import ConstraintCache
@@ -137,7 +138,7 @@ class Optimizer:
                      block_bytes=block_bytes)
         fingerprint = None
         with obs_trace.span("optimize", "optimizer", program=self.program.name,
-                            workers=workers or 1) as top:
+                            workers=workers or 1) as top, lp_memo():
             if plan_cache is not None:
                 fingerprint = plan_cache.fingerprint(
                     self.program, params, memory_cap_bytes, self.io_model,
@@ -226,7 +227,8 @@ class Optimizer:
             except OptimizationError:
                 pass  # nothing fits the cap — nothing worth caching
             else:
-                plan_cache.insert(fingerprint, self.program, best, analysis)
+                plan_cache.insert(fingerprint, self.program, best, analysis,
+                                  **knobs)
         return result
 
 

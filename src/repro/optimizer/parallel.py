@@ -43,6 +43,7 @@ from ..analysis import ProgramAnalysis
 from ..ir import Schedule
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..polyhedral import lp_memo
 from .apriori import AprioriStats, generate_level_candidates, grow_greedy_maximal
 from .constraints import ConstraintCache
 from .costing import (IOModel, elidable_write_bytes, evaluate_plan,
@@ -98,11 +99,12 @@ def _test_candidates(batch: Sequence[tuple[int, ...]],
     cache.begin_delta()
     analysis: ProgramAnalysis = st["analysis"]
     out = []
-    for cand in batch:
-        opps = [st["by_index"][i] for i in cand]
-        sched = find_schedule(analysis.program, cache, opps,
-                              analysis.dependences)
-        out.append((cand, sched))
+    with lp_memo():
+        for cand in batch:
+            opps = [st["by_index"][i] for i in cand]
+            sched = find_schedule(analysis.program, cache, opps,
+                                  analysis.dependences)
+            out.append((cand, sched))
     return os.getpid(), out, cache.collect_delta()
 
 

@@ -12,13 +12,14 @@ Public surface:
   constraints (Lemma 1).
 * :class:`RationalMatrix` — exact linear algebra (rank / null space / span
   tests behind the dimensionality constraints of Algorithm 1).
-* :func:`solve_lp` — exact two-phase simplex.
+* :func:`solve_lp` — exact two-phase simplex; :func:`lp_memo` scopes a
+  bounded memo of repeated LPs (one optimization run).
 """
 
 from .counting import CountFormula, symbolic_count
 from .farkas import SymbolicForm, farkas_equals_const, farkas_nonneg
 from .matrix import RationalMatrix, normalize_integer_row
-from .polyhedron import Polyhedron, Space
+from .polyhedron import Polyhedron, Space, lp_memo
 from .sets import PolyhedralSet
 from .simplex import LPStatus, solve_lp
 
@@ -33,6 +34,7 @@ __all__ = [
     "normalize_integer_row",
     "LPStatus",
     "solve_lp",
+    "lp_memo",
     "CountFormula",
     "symbolic_count",
 ]

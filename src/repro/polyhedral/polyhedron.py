@@ -23,17 +23,64 @@ primitive integer tuples.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import (EmptyPolyhedronError, PolyhedralError,
                           SpaceMismatchError, UnboundedError)
 from .matrix import Rational, as_fraction, normalize_integer_row, row_gcd
-from .simplex import LPStatus, solve_lp
+from .simplex import LPResult, LPStatus, solve_lp
 
-__all__ = ["Space", "Polyhedron"]
+__all__ = ["Space", "Polyhedron", "lp_memo"]
 
 _BRANCH_DEPTH_LIMIT = 200
+
+# Distinct LPs one lp_memo() scope remembers, least recently used dropped
+# first: a cold optimize() of the paper's programs repeats most LPs within
+# a hundred others, and the bound keeps the memo under a megabyte.
+_LP_MEMO_SIZE = 128
+_lp_memo: ContextVar[OrderedDict | None] = ContextVar("lp_memo", default=None)
+
+
+@contextmanager
+def lp_memo() -> Iterator[None]:
+    """Within this block (in this thread), emptiness tests and objective LPs
+    over identical exact inputs are solved once.
+
+    Analysis and legality testing re-derive the same polyhedra many times
+    over (set subtraction, Farkas redundancy removal, emptiness probes);
+    the simplex is exact and deterministic, so a repeat's answer is the
+    first one's.  The memo lives only as long as the outermost block.
+    """
+    if _lp_memo.get() is not None:
+        yield
+        return
+    token = _lp_memo.set(OrderedDict())
+    try:
+        yield
+    finally:
+        _lp_memo.reset(token)
+
+
+def _memo_solve(eqs: tuple, ineqs: tuple, nvars: int,
+                objective: tuple | None = None,
+                maximize: bool = False) -> LPResult:
+    """:func:`solve_lp` through the active :func:`lp_memo`, if any."""
+    memo = _lp_memo.get()
+    if memo is None:
+        return solve_lp(eqs, ineqs, nvars, objective, maximize)
+    key = (nvars, eqs, ineqs, objective, maximize)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = solve_lp(eqs, ineqs, nvars, objective, maximize)
+        if len(memo) > _LP_MEMO_SIZE:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return result
 
 
 class Space:
@@ -307,7 +354,7 @@ class Polyhedron:
         if self._trivially_empty:
             return True
         if self._rat_empty is None:
-            result = solve_lp(self.eqs, self.ineqs, self.space.dim)
+            result = _memo_solve(self.eqs, self.ineqs, self.space.dim)
             self._rat_empty = result.status is LPStatus.INFEASIBLE
         return self._rat_empty
 
@@ -448,12 +495,11 @@ class Polyhedron:
     def var_bounds(self, name: str) -> tuple[int | None, int | None]:
         """Integer (floor/ceil of rational) min and max of a variable; None = unbounded."""
         i = self.space.index(name)
-        obj = [0] * self.space.dim
-        obj[i] = 1
-        lo_res = solve_lp(self.eqs, self.ineqs, self.space.dim, objective=obj)
+        obj = tuple(int(j == i) for j in range(self.space.dim))
+        lo_res = _memo_solve(self.eqs, self.ineqs, self.space.dim, obj)
         if lo_res.status is LPStatus.INFEASIBLE:
             raise EmptyPolyhedronError("bounds of an empty polyhedron")
-        hi_res = solve_lp(self.eqs, self.ineqs, self.space.dim, objective=obj, maximize=True)
+        hi_res = _memo_solve(self.eqs, self.ineqs, self.space.dim, obj, True)
         lo = None if lo_res.status is LPStatus.UNBOUNDED else _ceil_frac(lo_res.value)
         hi = None if hi_res.status is LPStatus.UNBOUNDED else _floor_frac(hi_res.value)
         return lo, hi
@@ -672,9 +718,8 @@ class Polyhedron:
         kept: list[tuple[int, ...]] = []
         remaining = list(self.ineqs)
         for i, row in enumerate(self.ineqs):
-            others = kept + remaining[i + 1:]
-            obj = list(row[:-1])
-            res = solve_lp(self.eqs, others, self.space.dim, objective=obj)
+            others = tuple(kept + remaining[i + 1:])
+            res = _memo_solve(self.eqs, others, self.space.dim, row[:-1])
             if res.status is LPStatus.OPTIMAL and res.value + row[-1] >= 0:
                 continue  # implied by the others
             kept.append(row)
@@ -721,11 +766,11 @@ class Polyhedron:
         return True
 
     def _implies_ineq(self, row: Sequence[Rational]) -> bool:
-        obj = [as_fraction(v) for v in row[:-1]]
-        res = solve_lp(self.eqs, self.ineqs, self.space.dim, objective=obj)
+        res = _memo_solve(self.eqs, self.ineqs, self.space.dim,
+                          tuple(row[:-1]))
         if res.status is LPStatus.UNBOUNDED:
             return False
-        return res.value + as_fraction(row[-1]) >= 0
+        return res.value + row[-1] >= 0
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -13,30 +13,34 @@ The solver is used by the polyhedron layer for
 
 Bland's rule is used throughout, so the solver cannot cycle.  Everything is
 exact: a presolve pass substitutes away +-1-pivot equalities, and the
-tableau itself is kept in integer form (one denominator per row) so a pivot
-costs a single gcd pass per row instead of per-element Fraction overhead.
+tableau itself is one 2-D integer array — every row, the objective row
+included, scaled to integers — so a pivot is a single vectorized update of
+the rows it touches followed by a row-gcd reduce.
 
 Arithmetic backends
 -------------------
 
 Constraint rows arriving from :class:`~repro.polyhedral.polyhedron.Polyhedron`
-are pure-integer tuples; for those the whole pipeline (presolve, standard
-form, tableau) runs on machine integers.  Tableau rows whose magnitudes fit
-comfortably in int64 are stored as numpy arrays and updated with vectorized
-kernels; every vectorized update is preceded by an exact magnitude bound
-(``|ca|*max|a| + |cb|*max|b| < 2**63``) and rows that might overflow fall
-back to Python big-int lists, which are exact at any size.  Inputs that are
-not integral (or the ``exact`` backend selected via :func:`set_fast_path`)
-take the original Fraction-based path.  Both backends are deterministic and
-produce bit-identical results — the property suite in
-``tests/polyhedral/test_rational_kernels.py`` fuzzes one against the other,
-including forced-overflow inputs.
+are pure-integer tuples (other rows are scaled to integers first), so the
+whole pipeline — presolve, standard form, tableau — runs on integers.  A
+tableau whose magnitudes fit comfortably in int64 is an int64 array; every
+update is preceded by an exact magnitude bound
+(``(|p| + max|f|) * max|T| < 2**63``) and a tableau that might overflow
+switches to ``dtype=object`` (Python ints, exact at any size) for the rest
+of its solve.  :func:`set_fast_path` ``(False)`` puts every tableau on the
+object dtype.  Exact arithmetic plus Bland's rule make the pivot sequence
+independent of the representation, so both backends return bit-identical
+results — the property suite in
+``tests/polyhedral/test_kernel_properties.py`` fuzzes one against the
+other, including forced-overflow inputs, and ``test_lp_corpus.py`` holds
+both to answers recorded by the previous kernel.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import chain
 from math import gcd as _gcd_int
 from typing import Sequence
 
@@ -48,21 +52,21 @@ __all__ = ["LPStatus", "LPResult", "solve_lp", "is_feasible", "set_fast_path",
            "KERNEL_STATS"]
 
 # Vectorized-kernel policy.  `_NUMPY_ENABLED` is the test hook: disabling it
-# forces every row onto the exact Python big-int representation.
+# puts every tableau on exact Python integers.
 _NUMPY_ENABLED = True
-_NP_MIN_LEN = 12          # short rows: plain lists beat ndarray overhead
-_NP_SAFE = 1 << 62        # operand magnitude bound for safe int64 products
+_NP_SAFE = 1 << 62        # entry magnitude bound for an int64 tableau
+_INT64 = 1 << 63
 
 #: Observability for the arithmetic backends: how many tableau rows took the
-#: vectorized representation and how many updates fell back to exact big-int
-#: arithmetic because the int64 bound would have been violated.
+#: int64 representation and how many tableaux switched to exact Python
+#: integers because the int64 bound would have been violated.
 KERNEL_STATS = {"numpy_rows": 0, "overflow_fallbacks": 0}
 
 
 def set_fast_path(enabled: bool) -> bool:
-    """Enable/disable the numpy-int64 kernels (returns the previous value).
+    """Enable/disable the int64 tableau (returns the previous value).
 
-    With the fast path off, every tableau row uses exact Python integers —
+    With the fast path off, every tableau uses exact Python integers —
     the reference backend the property tests compare against.
     """
     global _NUMPY_ENABLED
@@ -101,11 +105,7 @@ def is_feasible(eqs: Sequence[Sequence[Rational]],
 
 
 def _all_int_rows(rows) -> bool:
-    for row in rows:
-        for v in row:
-            if type(v) is not int:
-                return False
-    return True
+    return {*map(type, chain.from_iterable(rows))} <= {int}
 
 
 def solve_lp(eqs: Sequence[Sequence[Rational]],
@@ -119,35 +119,32 @@ def solve_lp(eqs: Sequence[Sequence[Rational]],
     pure feasibility check (any feasible point is returned).  Variables are
     free; internally each x_i is split as x_i = u_i - v_i with u, v >= 0.
 
-    A presolve pass substitutes away equality rows with a +-1 pivot (exact,
-    and the dominant case in polyhedra produced by dependence analysis),
-    which typically shrinks the tableau by an order of magnitude.
+    A row with non-integer entries is first scaled to integers (a positive
+    factor changes no constraint, and no pivot of the objective), so the
+    whole pipeline runs on integers.  A presolve pass substitutes away
+    equality rows with a +-1 pivot (exact, and the dominant case in
+    polyhedra produced by dependence analysis), which typically shrinks the
+    tableau by an order of magnitude.
     """
     for row in list(eqs) + list(ineqs):
         if len(row) != nvars + 1:
             raise ValueError(f"constraint row width {len(row)} != nvars+1 = {nvars + 1}")
-    int_mode = (_all_int_rows(eqs) and _all_int_rows(ineqs)
-                and (objective is None or _all_int_rows([objective])))
-    if int_mode:
-        return _presolved_lp_int(eqs, ineqs, nvars, objective, maximize)
-    return _presolved_lp(eqs, ineqs, nvars, objective, maximize)
-
-
-# -- integer pipeline --------------------------------------------------------
-
-
-def _presolved_lp_int(eqs, ineqs, nvars, objective, maximize) -> LPResult:
-    """Presolve + solve for pure-integer inputs: no Fraction touches the
-    constraint system until the witness point is reconstructed."""
+    if objective is not None and len(objective) != nvars:
+        raise ValueError("objective length mismatch")
+    if not _all_int_rows(eqs):
+        eqs = [_to_int_row(r) for r in eqs]
+    if not _all_int_rows(ineqs):
+        ineqs = [_to_int_row(r) for r in ineqs]
     reduced_eqs, reduced_ineqs, keep, elim, feasible = \
-        _presolve_int(eqs, ineqs, nvars)
+        _presolve(eqs, ineqs, nvars)
     if not feasible:
         return LPResult(LPStatus.INFEASIBLE)
 
     if objective is None:
         red_obj = None
     else:
-        obj_row = [int(v) for v in objective] + [0]
+        # The objective over the kept variables: substitute the eliminated.
+        obj_row = _to_int_row(objective) + [0]
         for var, prow in elim:
             c = obj_row[var]
             if c:
@@ -155,17 +152,20 @@ def _presolved_lp_int(eqs, ineqs, nvars, objective, maximize) -> LPResult:
                 obj_row = [a - f * b for a, b in zip(obj_row, prow)]
         red_obj = [obj_row[j] for j in keep]
 
-    result = _raw_lp([_project_row(r, keep) for r in reduced_eqs],
-                     [_project_row(r, keep) for r in reduced_ineqs],
-                     len(keep), red_obj, maximize, int_mode=True)
-    if result.status is not LPStatus.OPTIMAL:
-        return result
-    return _reconstruct(result, nvars, keep, elim, objective)
+    status, point = _raw_lp([_project_row(r, keep) for r in reduced_eqs],
+                            [_project_row(r, keep) for r in reduced_ineqs],
+                            len(keep), red_obj, maximize)
+    if status is not LPStatus.OPTIMAL:
+        return LPResult(status)
+    return _reconstruct(point, nvars, keep, elim, objective)
 
 
-def _presolve_int(eqs, ineqs, nvars):
-    """Integer twin of :func:`_presolve`: +-1-pivot substitution is exact on
-    machine integers and needs no row rescaling (sign-safe for inequalities).
+def _presolve(eqs, ineqs, nvars):
+    """Substitute away +-1-pivot equality variables: exact on integers and
+    needs no row rescaling (sign-safe for inequalities).
+
+    Returns (eqs', ineqs', keep_indices, elim_list, feasible) where rows stay
+    in the original full-width coordinate system (eliminated columns zeroed).
     """
     cur_eqs = [list(r) for r in eqs]
     cur_ineqs = [list(r) for r in ineqs]
@@ -184,119 +184,11 @@ def _presolve_int(eqs, ineqs, nvars):
         if pivot_row is None:
             break
         pv = pivot_row[pivot_var]
-        cur_eqs = [_substitute_int(r, pivot_var, pivot_row, pv)
+        cur_eqs = [_substitute(r, pivot_var, pivot_row, pv)
+                   if r[pivot_var] else r
                    for r in cur_eqs if r is not pivot_row]
-        cur_ineqs = [_substitute_int(r, pivot_var, pivot_row, pv)
-                     for r in cur_ineqs]
-        eliminated.add(pivot_var)
-        elim.append((pivot_var, pivot_row))
-
-    kept_eqs, kept_ineqs = [], []
-    for r in cur_eqs:
-        if any(r[:-1]):
-            kept_eqs.append(r)
-        elif r[-1] != 0:
-            return [], [], [], [], False
-    for r in cur_ineqs:
-        if any(r[:-1]):
-            kept_ineqs.append(r)
-        elif r[-1] < 0:
-            return [], [], [], [], False
-    keep = [j for j in range(nvars) if j not in eliminated]
-    return kept_eqs, kept_ineqs, keep, elim, True
-
-
-def _substitute_int(row: list[int], var: int, pivot: list[int],
-                    pv: int) -> list[int]:
-    """Eliminate ``var`` from an integer ``row`` using a +-1-pivot equality."""
-    c = row[var]
-    if not c:
-        return row
-    f = c * pv  # == c / pv since pv in {1, -1}
-    return [a - f * b for a, b in zip(row, pivot)]
-
-
-def _reconstruct(result: LPResult, nvars, keep, elim, objective) -> LPResult:
-    """Back-substitute eliminated variables into the full witness point."""
-    full = [Fraction(0)] * nvars
-    for j, v in zip(keep, result.point):
-        full[j] = v
-    for var, row in reversed(elim):
-        # row: var appears with coefficient +-1 (int path) or a +-1 Fraction
-        # (exact path); row . x + c = 0.
-        total = row[-1] + sum(c * full[k] for k, c in enumerate(row[:-1])
-                              if k != var and c)
-        pv = row[var]
-        full[var] = -total * pv if abs(pv) == 1 else -total / pv
-        if type(full[var]) is int:
-            full[var] = Fraction(full[var])
-    value = result.value
-    if objective is not None:
-        value = sum((as_fraction(o) * x for o, x in zip(objective, full)),
-                    Fraction(0))
-    return LPResult(LPStatus.OPTIMAL, value, tuple(full))
-
-
-# -- exact Fraction pipeline -------------------------------------------------
-
-
-def _presolved_lp(eqs, ineqs, nvars, objective, maximize) -> LPResult:
-    reduced_eqs, reduced_ineqs, keep, elim, feasible = _presolve(eqs, ineqs, nvars)
-    if not feasible:
-        return LPResult(LPStatus.INFEASIBLE)
-
-    if objective is None:
-        red_obj = None
-    else:
-        # Rewrite the objective over the kept variables by substituting the
-        # eliminated ones.
-        obj_row = [as_fraction(v) for v in objective] + [Fraction(0)]
-        for var, row in elim:
-            obj_row = _substitute(obj_row, var, row)
-        red_obj = [obj_row[j] for j in keep]
-
-    result = _raw_lp([_project_row(r, keep) for r in reduced_eqs],
-                     [_project_row(r, keep) for r in reduced_ineqs],
-                     len(keep), red_obj, maximize, int_mode=False)
-    if result.status is not LPStatus.OPTIMAL:
-        return result
-    return _reconstruct(result, nvars, keep, elim, objective)
-
-
-def _substitute(row: list[Fraction], var: int, pivot: list[Fraction]) -> list[Fraction]:
-    """Eliminate ``var`` from ``row`` using pivot (pivot[var] is +-1)."""
-    c = row[var]
-    if not c:
-        return row
-    f = c / pivot[var]
-    return [a - f * b for a, b in zip(row, pivot)]
-
-
-def _presolve(eqs, ineqs, nvars):
-    """Substitute away +-1-pivot equality variables.
-
-    Returns (eqs', ineqs', keep_indices, elim_list, feasible) where rows stay
-    in the original full-width coordinate system (eliminated columns zeroed).
-    """
-    cur_eqs = [[as_fraction(v) for v in r] for r in eqs]
-    cur_ineqs = [[as_fraction(v) for v in r] for r in ineqs]
-    eliminated: set[int] = set()
-    elim: list[tuple[int, list[Fraction]]] = []
-    while True:
-        pivot_row = None
-        pivot_var = None
-        for r in cur_eqs:
-            for j in range(nvars):
-                if j not in eliminated and abs(r[j]) == 1:
-                    pivot_row, pivot_var = r, j
-                    break
-            if pivot_row is not None:
-                break
-        if pivot_row is None:
-            break
-        cur_eqs = [_substitute(r, pivot_var, pivot_row)
-                   for r in cur_eqs if r is not pivot_row]
-        cur_ineqs = [_substitute(r, pivot_var, pivot_row) for r in cur_ineqs]
+        cur_ineqs = [_substitute(r, pivot_var, pivot_row, pv)
+                     if r[pivot_var] else r for r in cur_ineqs]
         eliminated.add(pivot_var)
         elim.append((pivot_var, pivot_row))
 
@@ -316,325 +208,261 @@ def _presolve(eqs, ineqs, nvars):
     return kept_eqs, kept_ineqs, keep, elim, True
 
 
+def _substitute(row: list[int], var: int, pivot: list[int],
+                pv: int) -> list[int]:
+    """Eliminate ``var`` from ``row`` using a +-1-pivot equality."""
+    f = row[var] * pv  # == c / pv since pv in {1, -1}
+    return [a - f * b for a, b in zip(row, pivot)]
+
+
+def _reconstruct(point, nvars, keep, elim, objective) -> LPResult:
+    """Back-substitute eliminated variables into the full witness point."""
+    full = [Fraction(0)] * nvars
+    for j, v in zip(keep, point):
+        full[j] = v
+    for var, row in reversed(elim):
+        # row . x + c = 0 with row[var] = +-1, so dividing is multiplying.
+        total = row[-1] + sum(c * full[k] for k, c in enumerate(row[:-1])
+                              if k != var and c)
+        full[var] = Fraction(-total * row[var])
+    value = Fraction(0)
+    if objective is not None:
+        value = sum((as_fraction(o) * x for o, x in zip(objective, full)),
+                    Fraction(0))
+    return LPResult(LPStatus.OPTIMAL, value, tuple(full))
+
+
 def _project_row(row, keep: list[int]):
     return [row[j] for j in keep] + [row[-1]]
 
 
-# -- shared tableau core -----------------------------------------------------
+# -- tableau core ------------------------------------------------------------
 
 
-def _raw_lp(eqs, ineqs, nvars,
-            objective=None, maximize: bool = False,
-            int_mode: bool = False) -> LPResult:
-    """The unpresolved exact simplex (standard-form construction).
-
-    ``int_mode`` marks inputs known to be machine integers, in which case
-    the standard form is built without any Fraction.
-    """
-    zero = 0 if int_mode else Fraction(0)
-
-    # Standard form: columns are u_0..u_{n-1}, v_0..v_{n-1}, slacks.
-    # Each constraint a.x + c (>=|=) 0 becomes a.u - a.v - s = -c  (s >= 0, ineq)
-    # or a.u - a.v = -c (eq).  We then make every RHS nonnegative.
+def _raw_lp(eqs, ineqs, nvars, objective=None,
+            maximize: bool = False) -> tuple[LPStatus, tuple | None]:
+    """The unpresolved exact simplex on integer rows: status and witness."""
     ncols = 2 * nvars + len(ineqs)
-    rows: list[list] = []
-    rhs: list = []
-    for k, row in enumerate(list(eqs) + list(ineqs)):
-        if int_mode:
-            coeffs = list(row[:nvars])
-            const = row[nvars]
-        else:
-            coeffs = [as_fraction(v) for v in row[:nvars]]
-            const = as_fraction(row[nvars])
-        body = coeffs + [-c for c in coeffs] + [zero] * len(ineqs)
-        if k >= len(eqs):  # inequality: subtract slack
-            body[2 * nvars + (k - len(eqs))] = -1 if int_mode else Fraction(-1)
-        b = -const
-        if b < 0:
-            body = [-v for v in body]
-            b = -b
-        rows.append(body)
-        rhs.append(b)
-
-    tableau, basis = _phase_one(rows, rhs, ncols)
+    tableau = _phase_one(_standard_form(list(eqs) + list(ineqs), nvars,
+                                        len(eqs)), ncols)
     if tableau is None:
-        return LPResult(LPStatus.INFEASIBLE)
-
-    if objective is None:
-        point = _extract_point(tableau, basis, nvars, ncols)
-        return LPResult(LPStatus.OPTIMAL, Fraction(0), point)
-
-    obj = list(objective) if int_mode else [as_fraction(v) for v in objective]
-    if len(obj) != nvars:
-        raise ValueError("objective length mismatch")
-    if maximize:
-        obj = [-v for v in obj]
-    # cost vector over u, v, slacks: c.u - c.v
-    cost = obj + [-v for v in obj] + [zero] * (ncols - 2 * nvars)
-    if not tableau:
-        # No constraints at all: feasible, and any nonzero objective is unbounded.
-        if any(v != 0 for v in obj):
-            return LPResult(LPStatus.UNBOUNDED)
-        return LPResult(LPStatus.OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(nvars)))
-    status = _phase_two(tableau, basis, cost)
-    if status is LPStatus.UNBOUNDED:
-        return LPResult(LPStatus.UNBOUNDED)
-    point = _extract_point(tableau, basis, nvars, ncols)
-    value = sum((as_fraction(o) * x for o, x in zip(objective, point)), Fraction(0))
-    return LPResult(LPStatus.OPTIMAL, value, point)
+        return LPStatus.INFEASIBLE, None
+    if objective is not None:
+        obj = [-v for v in objective] if maximize else objective
+        if not tableau.basis:
+            # No constraints at all: any nonzero objective is unbounded.
+            if any(obj):
+                return LPStatus.UNBOUNDED, None
+        else:
+            # cost vector over u, v, slacks: c.u - c.v
+            tableau.price_out(obj + [-v for v in obj] + [0] * (ncols - 2 * nvars))
+            if tableau.iterate(ncols) is LPStatus.UNBOUNDED:
+                return LPStatus.UNBOUNDED, None
+    return LPStatus.OPTIMAL, tableau.point(nvars)
 
 
 # -- internals --------------------------------------------------------------
 
 
-# The tableau is kept in integer form: each row has integer coefficients
-# whose true value is nums / den with den > 0 (the last entry is the RHS).
-# One gcd pass per updated row replaces per-element Fraction normalization,
-# which is where the naive implementation spent nearly all of its time.
-#
-# `nums` is either a Python list of exact big ints, or (fast path) an int64
-# ndarray with a cached max-magnitude used to prove every vectorized update
-# stays below 2**63 before it runs.
+def _to_int_row(row) -> list[int]:
+    """``row`` times the least positive factor that makes it integral."""
+    if _all_int_rows([row]):
+        return list(row)
+    row = [as_fraction(v) for v in row]
+    den = _lcm(v.denominator for v in row)
+    return [int(v * den) for v in row]
 
 
-def _to_int_row(fracs: list) -> tuple[list[int], int]:
-    if _all_int_rows([fracs]):
-        return list(fracs), 1
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // _gcd_int(den, f.denominator)
-    return [int(f * den) for f in fracs], den
+def _lcm(values) -> int:
+    out = 1
+    for v in values:
+        out = out * v // _gcd_int(out, v)
+    return out
 
 
-class _IRow:
-    __slots__ = ("nums", "den", "amax")
-
-    def __init__(self, nums, den: int = 1, amax: int | None = None):
-        # nums: list[int] (exact) or np.ndarray[int64] with amax = max(|v|).
-        self.nums = nums
-        self.den = den
-        self.amax = amax
-
-    def get(self, j: int) -> int:
-        v = self.nums[j]
-        return v if type(v) is int else int(v)
-
-    def value(self, j: int) -> Fraction:
-        return Fraction(self.get(j), self.den)
+def _int_matrix(rows, shape: tuple[int, int]) -> np.ndarray:
+    """``rows`` as an int64 array when the fast path is on and every entry
+    is below the int64 guard, else as Python ints."""
+    if _NUMPY_ENABLED:
+        try:
+            mat = np.array(rows, dtype=np.int64).reshape(shape)
+        except OverflowError:
+            pass
+        else:
+            if not mat.size or int(np.abs(mat).max()) < _NP_SAFE:
+                return mat
+    return np.array(rows, dtype=object).reshape(shape)
 
 
-def _mk_irow(nums: list[int], den: int = 1) -> _IRow:
-    """Build a row, choosing the vectorized representation when safe."""
-    nums, den = _reduce_list(nums, den)
-    if _NUMPY_ENABLED and len(nums) >= _NP_MIN_LEN:
-        amax = max(map(abs, nums), default=0)
-        if amax < _NP_SAFE:
-            KERNEL_STATS["numpy_rows"] += 1
-            return _IRow(np.array(nums, dtype=np.int64), den, amax)
-    return _IRow(nums, den)
+def _standard_form(rows: list, nvars: int, neqs: int) -> np.ndarray:
+    """Phase-1 tableau rows for integer constraint rows ``a.x + c``.
 
-
-def _reduce_list(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for v in nums:
-        if v:
-            g = _gcd_int(g, v)
-            if g == 1:
-                return nums, den
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    return nums, den
-
-
-def _reduce_irow(row: _IRow) -> _IRow:
-    if row.amax is None:
-        nums, den = _reduce_list(row.nums, row.den)
-        return _IRow(nums, den)
-    g = _gcd_int(int(np.gcd.reduce(np.absolute(row.nums))), row.den)
-    if g > 1:
-        # Exact: every element (and den) is divisible by g, so floor
-        # division equals true division and amax scales exactly.
-        return _IRow(row.nums // g, row.den // g, row.amax // g)
-    return row
-
-
-def _axpy(ca: int, a: _IRow, cb: int, b: _IRow, den: int) -> _IRow:
-    """New row with nums = ca*a.nums - cb*b.nums (then gcd-reduced).
-
-    Runs vectorized when both operands are int64 rows and the exact bound
-    ``|ca|*max|a| + |cb|*max|b| < 2**63`` proves the result cannot overflow;
-    otherwise computes with Python big ints (exact at any magnitude).
-    """
-    if (a.amax is not None and b.amax is not None
-            and abs(ca) * a.amax + abs(cb) * b.amax < (1 << 63)):
-        nums = ca * a.nums - cb * b.nums
-        amax = int(np.absolute(nums).max()) if nums.size else 0
-        return _reduce_irow(_IRow(nums, den, amax))
-    an = a.nums if a.amax is None else a.nums.tolist()
-    bn = b.nums if b.amax is None else b.nums.tolist()
-    if a.amax is not None or b.amax is not None:
-        KERNEL_STATS["overflow_fallbacks"] += 1
-    nums, den = _reduce_list([ca * x - cb * y for x, y in zip(an, bn)], den)
-    return _IRow(nums, den)
-
-
-def _first_index(row: _IRow, ncols: int, negative: bool) -> int | None:
-    """Smallest j < ncols with nums[j] < 0 (negative) or != 0."""
-    nums = row.nums
-    if row.amax is None:
-        if negative:
-            return next((j for j in range(ncols) if nums[j] < 0), None)
-        return next((j for j in range(ncols) if nums[j] != 0), None)
-    head = nums[:ncols]
-    idx = np.flatnonzero(head < 0 if negative else head != 0)
-    return int(idx[0]) if idx.size else None
-
-
-def _phase_one(rows: list[list], rhs: list, ncols: int):
-    """Find a basic feasible solution using artificial variables.
-
-    Returns (tableau, basis) or (None, None) if infeasible.  The tableau is a
-    list of integer rows ``[coeffs..., rhs]`` restricted to the ncols real
-    columns after artificials are driven out.
+    Columns are u_0..u_{n-1}, v_0..v_{n-1}, slacks, artificials, rhs.  Each
+    constraint becomes a.u - a.v - s = -c (inequality; eq: no slack), with
+    the sign flipped so the rhs is nonnegative.
     """
     m = len(rows)
-    total = ncols + m  # + artificials
-    tableau: list[_IRow] = []
-    for i in range(m):
-        nums, den = _to_int_row(rows[i] + [0] * m + [rhs[i]])
-        art = den  # coefficient 1 for this row's artificial, scaled by den
-        nums[ncols + i] = art
-        tableau.append(_mk_irow(nums, den))
-    basis = [ncols + i for i in range(m)]
-
-    # Phase-1 objective: minimize sum of artificials.
-    cost = [0] * total
-    for j in range(ncols, total):
-        cost[j] = 1
-    zrow = _reduced_cost_row(tableau, basis, cost, total)
-    _simplex_iterate(tableau, basis, zrow, total)
-
-    if zrow.get(total) != 0:  # optimum of phase-1 > 0 => infeasible
-        return None, None
-
-    # Drive remaining artificials out of the basis (degenerate rows).
-    for i in range(m):
-        if basis[i] >= ncols:
-            pivot_col = _first_index(tableau[i], ncols, negative=False)
-            if pivot_col is None:
-                continue  # redundant row; harmless to keep
-            _pivot(tableau, basis, i, pivot_col, total)
-
-    # Strip artificial columns.
-    stripped: list[_IRow] = []
-    new_basis: list[int] = []
-    for i in range(m):
-        r = tableau[i]
-        if r.amax is None:
-            nums = r.nums[:ncols] + [r.nums[total]]
-            keep = basis[i] < ncols or any(nums[:ncols])
-        else:
-            nums = np.append(r.nums[:ncols], r.nums[total]).tolist()
-            keep = basis[i] < ncols or any(nums[:ncols])
-        if keep:
-            stripped.append(_mk_irow(nums, r.den))
-            new_basis.append(basis[i])
-    return stripped, new_basis
+    ncols = 2 * nvars + m - neqs
+    rows = _int_matrix(rows, (m, nvars + 1))
+    t = np.zeros((m, ncols + m + 1), dtype=rows.dtype)
+    t[:, :nvars] = rows[:, :nvars]
+    t[:, nvars:2 * nvars] = -rows[:, :nvars]
+    ineq = np.arange(neqs, m)
+    t[ineq, 2 * nvars + ineq - neqs] = -1
+    t[:, -1] = -rows[:, nvars]
+    flip = t[:, -1] < 0
+    t[flip] = -t[flip]
+    t[np.arange(m), ncols + np.arange(m)] = 1
+    return t
 
 
-def _phase_two(tableau: list[_IRow], basis: list[int], cost: list) -> LPStatus:
-    ncols = len(tableau[0].nums) - 1
-    # Integerize the cost vector.
-    cnums, _cden = _to_int_row(list(cost))
-    zrow = _reduced_cost_row(tableau, basis, cnums, ncols)
-    return _simplex_iterate(tableau, basis, zrow, ncols)
+def _gcd_reduced(rows: np.ndarray) -> np.ndarray:
+    """Every row divided by the gcd of its entries (zero rows unchanged)."""
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    return rows // g[:, None]
 
 
-def _reduced_cost_row(tableau: list[_IRow], basis: list[int],
-                      cost: list[int], ncols: int) -> _IRow:
-    """z-row: reduced costs (cost - c_B . B^-1 A) and objective value."""
-    zrow = _mk_irow(list(cost[:ncols]) + [0], 1)
-    for i, b in enumerate(basis):
-        cb = cost[b] if b < len(cost) else 0
-        if cb == 0:
-            continue
-        row = tableau[i]
-        # z' = z * row.den - (cb * zden) * row  over denominator zden*row.den
-        zrow = _axpy(row.den, zrow, cb * zrow.den, row, zrow.den * row.den)
-    return zrow
+class _Tableau:
+    """The whole simplex tableau as one 2-D integer array.
 
+    ``a`` holds one row per constraint, then — while a phase runs — the
+    objective (z) row; the last column is the right-hand side.  Rows are
+    exact only up to a positive factor: constraint row ``i`` means
+    ``a[i] / a[i, basis[i]]`` (its basic column holds its denominator), and
+    the z row's signs are all the simplex reads from it.  ``amax`` bounds
+    every entry's magnitude while ``a`` is int64.
+    """
 
-def _simplex_iterate(tableau: list[_IRow], basis: list[int], zrow: _IRow,
-                     ncols: int) -> LPStatus:
-    """Run simplex (min) with Bland's rule; mutates tableau/basis/zrow."""
-    m = len(tableau)
-    while True:
-        enter = _first_index(zrow, ncols, negative=True)
-        if enter is None:
-            return LPStatus.OPTIMAL
-        # Ratio test rhs/a, a > 0 (Bland: smallest basis index on ties).
-        # Denominators cancel inside one row; compare across rows by
-        # cross-multiplication of nonnegative quantities.
-        leave = None
-        best_num = best_den = None  # ratio = best_num / best_den, both >= 0
-        for i in range(m):
-            a = tableau[i].get(enter)
-            if a > 0:
-                num, den = tableau[i].get(-1), a
-                if leave is None:
-                    better = True
-                else:
+    __slots__ = ("a", "basis", "amax")
+
+    def __init__(self, a: np.ndarray, basis: list[int]):
+        self.a = a
+        self.basis = basis
+        self.amax = 0
+        if a.dtype != object:
+            KERNEL_STATS["numpy_rows"] += len(a)
+            self.amax = int(np.abs(a).max()) if a.size else 0
+
+    def _guard(self, bound: int) -> None:
+        """Keep int64 when ``bound`` proves the next update cannot reach
+        2**63; otherwise switch this tableau to Python ints for good."""
+        if self.a.dtype != object and bound >= _INT64:
+            KERNEL_STATS["overflow_fallbacks"] += 1
+            self.a = self.a.astype(object)
+
+    def price_out(self, cost: list[int]) -> None:
+        """Append the z row: ``cost`` minus each basic row times its basic
+        cost, over the common positive factor ``lcm`` of those rows'
+        denominators (so basic columns read zero)."""
+        basis = self.basis
+        rows = [i for i, b in enumerate(basis) if cost[b]]
+        dens = self.a[rows, [basis[i] for i in rows]].tolist()
+        lcm = _lcm(dens)
+        weights = [cost[basis[i]] * (lcm // d) for i, d in zip(rows, dens)]
+        z = [lcm * c for c in cost] + [0]
+        self._guard(max(map(abs, z)) + sum(map(abs, weights)) * self.amax)
+        a = self.a
+        z = np.array(z, dtype=a.dtype)
+        if rows:
+            z -= np.array(weights, dtype=a.dtype) @ a[rows]
+        z = _gcd_reduced(z[None, :])
+        if a.dtype != object:
+            self.amax = max(self.amax, int(np.abs(z).max()))
+        self.a = np.vstack([a, z])
+
+    def pivot(self, row: int, col: int) -> None:
+        """Make ``col`` basic in ``row``: every other row with a nonzero in
+        ``col`` gets ``p * r - r[col] * a[row]`` in one update (``p > 0``
+        keeps each row's factor positive), then a row-gcd reduce."""
+        a = self.a
+        p = int(a[row, col])
+        if p < 0:
+            a[row] = -a[row]
+            p = -p
+        others = a[:, col].nonzero()[0]
+        others = others[others != row]
+        if others.size:
+            # |p*r - f*a[row]| <= (p + max|f|) * amax; both are <= amax.
+            if a.dtype != object and (p + self.amax) * self.amax >= _INT64:
+                self.amax = int(np.abs(a).max())  # tighten before giving up
+                fmax = int(np.abs(a[others, col]).max())
+                self._guard((p + fmax) * self.amax)
+                a = self.a
+            f = a[others, col]
+            block = _gcd_reduced(p * a[others] - f[:, None] * a[row])
+            a[others] = block
+            if a.dtype != object:
+                self.amax = max(self.amax, int(np.abs(block).max()))
+        self.basis[row] = col
+
+    def iterate(self, ncols: int) -> LPStatus:
+        """Run simplex (min) with Bland's rule on the z row (the last row)."""
+        m = len(self.basis)
+        basis = self.basis
+        while True:
+            a = self.a
+            negative = (a[m, :ncols] < 0).nonzero()[0]
+            if not negative.size:
+                return LPStatus.OPTIMAL
+            enter = int(negative[0])
+            # Ratio test rhs/a, a > 0 (Bland: smallest basis index on ties).
+            # Row factors cancel inside one row; compare across rows by
+            # cross-multiplication of nonnegative quantities.
+            column = a[:m, enter]
+            candidates = (column > 0).nonzero()[0].tolist()
+            if not candidates:
+                return LPStatus.UNBOUNDED
+            leave = candidates[0]
+            if len(candidates) > 1:
+                nums = a[candidates, -1].tolist()
+                dens = column[candidates].tolist()
+                best_num, best_den = nums[0], dens[0]
+                for i, num, den in zip(candidates[1:], nums[1:], dens[1:]):
                     lhs = num * best_den
                     rhs = best_num * den
-                    better = lhs < rhs or (lhs == rhs and basis[i] < basis[leave])
-                if better:
-                    best_num, best_den = num, den
-                    leave = i
-        if leave is None:
-            return LPStatus.UNBOUNDED
-        _pivot(tableau, basis, leave, enter, ncols, zrow)
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        best_num, best_den, leave = num, den, i
+            self.pivot(leave, enter)
+
+    def point(self, nvars: int) -> tuple[Fraction, ...]:
+        """The basic solution's x = u - v."""
+        values = [Fraction(0)] * (2 * nvars)
+        rhs = self.a[:, -1].tolist()
+        for i, b in enumerate(self.basis):
+            if b < 2 * nvars:
+                values[b] = Fraction(rhs[i], int(self.a[i, b]))
+        return tuple(values[i] - values[nvars + i] for i in range(nvars))
 
 
-def _negate_irow(row: _IRow, den: int) -> _IRow:
-    if row.amax is None:
-        return _IRow([-v for v in row.nums], den)
-    return _IRow(-row.nums, den, row.amax)
+def _phase_one(t: np.ndarray, ncols: int) -> _Tableau | None:
+    """Find a basic feasible solution using artificial variables.
 
+    Returns the tableau — constraint rows only, restricted to the ncols real
+    columns after artificials are driven out — or None if infeasible.
+    """
+    m = len(t)
+    total = ncols + m  # + artificials
+    tableau = _Tableau(t, [ncols + i for i in range(m)])
 
-def _pivot(tableau: list[_IRow], basis: list[int], row: int, col: int,
-           ncols: int, zrow: _IRow | None = None) -> None:
-    prow = tableau[row]
-    p = prow.get(col)
-    # New pivot row = old / (p / den) = nums / p  (sign-fix so den > 0).
-    if p > 0:
-        pivot_row = _reduce_irow(_IRow(prow.nums, p, prow.amax))
-    else:
-        pivot_row = _reduce_irow(_negate_irow(prow, -p))
-    tableau[row] = pivot_row
+    # Phase-1 objective: minimize sum of artificials.
+    tableau.price_out([0] * ncols + [1] * m)
+    tableau.iterate(total)
+    if tableau.a[m, -1] != 0:  # optimum of phase-1 > 0 => infeasible
+        return None
+    tableau.a = tableau.a[:m]
 
-    prd = pivot_row.den
-    for i in range(len(tableau)):
-        if i == row:
-            continue
-        r = tableau[i]
-        f = r.get(col)
-        if f == 0:
-            continue
-        tableau[i] = _axpy(prd, r, f, pivot_row, r.den * prd)
-    if zrow is not None and zrow.get(col) != 0:
-        f = zrow.get(col)
-        updated = _axpy(prd, zrow, f, pivot_row, zrow.den * prd)
-        zrow.nums, zrow.den, zrow.amax = updated.nums, updated.den, updated.amax
-    basis[row] = col
+    # Drive remaining artificials out of the basis (degenerate rows).
+    basis = tableau.basis
+    for i in range(m):
+        if basis[i] >= ncols:
+            nonzero = tableau.a[i, :ncols].nonzero()[0]
+            if nonzero.size:  # else a redundant row: dropped below
+                tableau.pivot(i, int(nonzero[0]))
 
-
-def _extract_point(tableau: list[_IRow], basis: list[int], nvars: int,
-                   ncols: int) -> tuple[Fraction, ...]:
-    values = [Fraction(0)] * ncols
-    if not tableau:
-        return tuple(Fraction(0) for _ in range(nvars))
-    for i, b in enumerate(basis):
-        if b < ncols:
-            values[b] = Fraction(tableau[i].get(-1), tableau[i].den)
-    return tuple(values[i] - values[nvars + i] for i in range(nvars))
+    # Strip artificial columns and the rows still basic in one.
+    keep = [i for i in range(m) if basis[i] < ncols]
+    tableau.a = _gcd_reduced(
+        tableau.a[np.ix_(keep, list(range(ncols)) + [total])])
+    tableau.basis = [basis[i] for i in keep]
+    return tableau

@@ -266,16 +266,21 @@ class PlanCache(obs_metrics.StatFields):
         """Persist ``plan`` as the best for this fingerprint (atomic)."""
         return self.insert(
             optimization_fingerprint(program, params, memory_cap_bytes,
-                                     io_model, **knobs), program, plan)
+                                     io_model, **knobs), program, plan,
+            **knobs)
 
     def insert(self, fingerprint: str, program: Program, plan: Plan,
-               analysis: ProgramAnalysis | None = None) -> Path:
+               analysis: ProgramAnalysis | None = None, **knobs) -> Path:
         """Persist ``plan`` under ``fingerprint`` (atomic).  With the
         ``analysis`` the plan was costed against, the pair also enters the
-        memory tier, so the next lookup need not re-derive it."""
+        memory tier, so the next lookup need not re-derive it.  ``knobs``
+        are the search's (as for :func:`optimization_fingerprint`); the
+        costing ones are saved so a disk load re-costs under them."""
         path = self.path_for(fingerprint)
         tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        save_plan(tmp, plan, program)
+        save_plan(tmp, plan, program, block_bytes=knobs.get("block_bytes"),
+                  dead_write_elimination=knobs.get("dead_write_elimination",
+                                                   True))
         # Of the file this call wrote — rename keeps inode, size and mtime
         # — not of whatever a concurrent writer renamed over it afterwards.
         signature = _stat_signature(tmp)
