@@ -11,10 +11,9 @@ configuration recommendations.  Three stages, mirrored by the submodules:
    paths produce field-identical profiles.
 2. **Analyze** (:mod:`~repro.advisor.analyzers`): pluggable analyzers emit
    typed :class:`Recommendation` objects — block-geometry rescaling,
-   persistent materialization of shared intermediates, DAF vs LAB-tree
-   layout, memory-budget sizing, prefetch depth — each carrying predicted
-   whole-workload before/after I/O bytes and model seconds plus a
-   confidence.
+   persistent materialization of shared intermediates, memory-budget
+   sizing, prefetch depth — each carrying predicted whole-workload
+   before/after I/O bytes and model seconds plus a confidence.
 3. **Apply & verify** (:mod:`~repro.advisor.apply`): fold a recommendation
    set into a new :class:`AdvisorConfig` (job rewrites + service knobs),
    re-run the workload, and score every prediction against measurement
@@ -29,9 +28,9 @@ lives on in :mod:`~repro.advisor.blocksize`.
 """
 
 from .analyzers import (ANALYZERS, AdvisorContext, Analyzer,
-                        BlockGeometryAnalyzer, LayoutAnalyzer,
-                        MaterializationAnalyzer, MemoryBudgetAnalyzer,
-                        PrefetchAnalyzer, run_analyzers)
+                        BlockGeometryAnalyzer, MaterializationAnalyzer,
+                        MemoryBudgetAnalyzer, PrefetchAnalyzer,
+                        run_analyzers)
 from .apply import (AdvisorConfig, apply_recommendations, measured_io_bytes,
                     run_workload, validate_recommendations)
 from .blocksize import BlockSizeAdvisor, BlockSizeChoice
@@ -52,8 +51,8 @@ __all__ = [
     "Recommendation", "ACTION_TYPES", "rank",
     # analyzers
     "AdvisorContext", "Analyzer", "BlockGeometryAnalyzer",
-    "MaterializationAnalyzer", "MemoryBudgetAnalyzer", "LayoutAnalyzer",
-    "PrefetchAnalyzer", "ANALYZERS", "run_analyzers",
+    "MaterializationAnalyzer", "MemoryBudgetAnalyzer", "PrefetchAnalyzer",
+    "ANALYZERS", "run_analyzers",
     # apply
     "AdvisorConfig", "apply_recommendations", "run_workload",
     "measured_io_bytes", "validate_recommendations",

@@ -19,9 +19,6 @@ Built-in analyzers, in the order they run:
 * :class:`MemoryBudgetAnalyzer` — re-cost templates without the cap to
   find plans the budget is pricing out; otherwise right-size the cap to
   observed admission behaviour (advisory).
-* :class:`LayoutAnalyzer` — intermediates observed with zero I/O (write-
-  elided, §footnote-8 style) still pay DAF preallocation footprint;
-  recommend LAB-tree, whose blocks materialize lazily (advisory).
 * :class:`PrefetchAnalyzer` — read prefetch stage/wait ratios; deepen or
   introduce staging when jobs are I/O-bound (advisory).
 """
@@ -40,7 +37,7 @@ from .workload import JobSpec, WorkloadProfile, geometry_candidates, \
 
 __all__ = ["AdvisorContext", "Analyzer", "BlockGeometryAnalyzer",
            "MaterializationAnalyzer", "MemoryBudgetAnalyzer",
-           "LayoutAnalyzer", "PrefetchAnalyzer", "ANALYZERS",
+           "PrefetchAnalyzer", "ANALYZERS",
            "run_analyzers"]
 
 
@@ -314,61 +311,6 @@ class MemoryBudgetAnalyzer(Analyzer):
         return recs
 
 
-class LayoutAnalyzer(Analyzer):
-    name = "layout"
-    kind = "layout"
-
-    def analyze(self, ctx: AdvisorContext) -> list[Recommendation]:
-        prof = ctx.profile
-        if prof is None:
-            return []
-        base_b, base_s = ctx.baseline()
-        # Logical intermediates observed with zero traffic, per template.
-        idle: dict[str, tuple[int, int]] = {}
-        for jobs in ctx.groups():
-            rep = jobs[0]
-            program = rep.build_program()
-            profiled = [prof.jobs[j.name] for j in jobs
-                        if j.name in prof.jobs]
-            if not profiled:
-                continue
-            for aname, arr in program.arrays.items():
-                if arr.kind.value != "intermediate":
-                    continue
-                traffic = sum(
-                    jp.per_array.get(aname, {}).get("read_bytes", 0)
-                    + jp.per_array.get(aname, {}).get("write_bytes", 0)
-                    for jp in profiled)
-                if traffic == 0:
-                    foot, cnt = idle.get(aname, (0, 0))
-                    idle[aname] = (foot + len(jobs)
-                                   * arr.total_bytes(rep.params),
-                                   cnt + len(jobs))
-        recs = []
-        for aname, (footprint, njobs) in sorted(idle.items()):
-            if ctx.config.store_format.get(
-                    aname, ctx.config.store_format.get("default", "daf")) \
-                    == "labtree":
-                continue  # already lazy
-            recs.append(Recommendation(
-                kind=self.kind, advisory=True,
-                title=f"Store {aname} as a LAB-tree (write-elided)",
-                detail=(f"Intermediate {aname} saw zero I/O across "
-                        f"{njobs} job(s) — its writes are elided — yet "
-                        f"the DAF layout preallocates {footprint:,} bytes "
-                        f"of dense file per workload.  LAB-tree blocks "
-                        f"materialize on first write, so an untouched "
-                        f"array costs no disk; counted I/O is unchanged."),
-                actions=[{"type": "store_format", "array": aname,
-                          "format": "labtree"}],
-                predicted_before_bytes=base_b,
-                predicted_after_bytes=base_b,
-                predicted_before_seconds=base_s,
-                predicted_after_seconds=base_s,
-                confidence=0.8))
-        return recs
-
-
 class PrefetchAnalyzer(Analyzer):
     name = "prefetch"
     kind = "prefetch"
@@ -419,7 +361,6 @@ class PrefetchAnalyzer(Analyzer):
 ANALYZERS: tuple[Analyzer, ...] = (BlockGeometryAnalyzer(),
                                    MaterializationAnalyzer(),
                                    MemoryBudgetAnalyzer(),
-                                   LayoutAnalyzer(),
                                    PrefetchAnalyzer())
 
 

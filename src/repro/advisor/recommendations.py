@@ -1,8 +1,8 @@
 """Typed, costed advisor recommendations.
 
 A :class:`Recommendation` is the unit the whole subsystem trades in: each
-one names a *kind* (block geometry, materialization, layout, memory
-budget, prefetch depth), carries machine-applicable ``actions``, and
+one names a *kind* (block geometry, materialization, memory budget,
+prefetch depth), carries machine-applicable ``actions``, and
 states its prediction as **whole-workload** before/after I/O bytes and
 model seconds — never a per-job delta, so two recommendations' predictions
 are directly comparable and the acceptance check ("applying the top set
@@ -13,7 +13,7 @@ Predictions are promises, so they are checked: the apply pipeline
 applied and fills in the ``measured_*`` fields; :meth:`Recommendation.
 check` then compares predicted and measured savings within a tolerance
 and flags mispredictions rather than hiding them.  *Advisory*
-recommendations (layout, prefetch-depth, some memory sizing) predict a
+recommendations (prefetch-depth, some memory sizing) predict a
 zero byte delta by construction — they target footprint, latency, or
 headroom, not traffic — and validate trivially on the byte axis.
 """

@@ -165,6 +165,18 @@ class ExecutablePlan:
                 last_write[inst.write.block_key] = index
         return items
 
+    def disk_arrays(self) -> frozenset[str]:
+        """The arrays this plan reads from or writes to disk.
+
+        The one answer to "which arrays get a store": an intermediate
+        outside this set has every write elided and every read served
+        from memory, so the job creates no file for it.
+        """
+        return frozenset(
+            pa.access.array.name for inst in self.instances
+            for pa in inst.reads + ([inst.write] if inst.write else [])
+            if pa.action is IOAction.READ or pa.action is IOAction.WRITE)
+
     def io_summary(self) -> dict[str, int]:
         counts = {a.value: 0 for a in IOAction}
         for inst in self.instances:

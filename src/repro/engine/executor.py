@@ -52,7 +52,7 @@ from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
 
 __all__ = ["ExecutionReport", "CountingStore", "STORE_FACTORIES",
-           "execute_plan", "run_job", "run_program"]
+           "UnstoredArray", "execute_plan", "run_job", "run_program"]
 
 JOURNAL_NAME = "execution.journal"
 
@@ -496,6 +496,26 @@ class CountingStore:
                 self.write_ops += 1
 
 
+class UnstoredArray:
+    """Stands in for an intermediate outside
+    :meth:`ExecutablePlan.disk_arrays`: its blocks live and die in the
+    buffer pool, so it has no file, and block I/O on it raises."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def _no_store(self, *args, **kwargs):
+        raise ExecutionError(f"{self.name}: the plan does no disk I/O on "
+                             f"this array, so it has no store")
+
+    read_block = write_block = read_block_run = _no_store
+
+    def close(self) -> None:
+        pass
+
+
 def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             inputs: Mapping[str, np.ndarray], disk: SimulatedDisk, *,
             formats: Mapping[str, str],
@@ -530,6 +550,9 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
     * ``pool`` — the pool to run on, else a private one capped at
       ``memory_cap_bytes``.
 
+    An intermediate outside ``exec_plan.disk_arrays()`` gets an
+    :class:`UnstoredArray` and no file.
+
     Returns the report (``report.io`` is the *disk's* delta, retries and
     healing re-reads included), the dense OUTPUT arrays, the I/O this job
     itself issued (its :class:`CountingStore` sums) and the executable
@@ -537,6 +560,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
     stay, for resume or for the caller to remove.
     """
     exec_plan = build_executable_plan(program, params, plan)
+    on_disk = exec_plan.disk_arrays()
     if names is None:
         names = {lname: lname for lname in program.arrays}
     journal = None
@@ -555,6 +579,8 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
 
     def open_store(lname: str, reuse: bool):
         arr = program.arrays[lname]
+        if arr.kind is ArrayKind.INTERMEDIATE and lname not in on_disk:
+            return UnstoredArray(lname)
         factory, marker = STORE_FACTORIES[formats[lname]]
         if reuse and disk.exists(names[lname] + marker):
             return factory.open(disk, names[lname])
@@ -566,8 +592,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
                 raise ExecutionError(f"missing input matrix {lname!r}")
             store.write_matrix(inputs[lname], count=False)
         elif factory is DAFMatrix:
-            # Block-by-block zero fill: unwritten regions read as zeros
-            # without ever materializing the dense matrix (LAB-tree blocks
+            # Unwritten regions read as zeros that verify (LAB-tree blocks
             # materialize on first write).
             store.preallocate()
         return store

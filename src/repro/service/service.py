@@ -882,7 +882,7 @@ class ArrayService:
             with obs_trace.span("service.execute", "service", job=job.key,
                                 backend=self.backend):
                 if self._workers is None:
-                    report, outputs, io, _ = run_job(
+                    report, outputs, io, exec_plan = run_job(
                         job.program, job.params, plan, job.inputs, self.disk,
                         formats=formats, names=names,
                         catalog=(self._datasets, self._lock),
@@ -897,9 +897,12 @@ class ArrayService:
                     # stores.  A journaled job keeps its own: the journal
                     # outlives the run, and resuming a finished job replays
                     # nothing — over fresh stores that would read as zeros.
+                    # Inputs belong to the catalog; an intermediate outside
+                    # disk_arrays() never got a store.
                     if not journaled:
-                        for lname, arr in job.program.arrays.items():
-                            if arr.kind is not ArrayKind.INPUT:
+                        for lname in exec_plan.disk_arrays():
+                            if job.program.arrays[lname].kind \
+                                    is not ArrayKind.INPUT:
                                 factory, _ = STORE_FACTORIES[formats[lname]]
                                 factory.remove(self.disk, names[lname])
                 else:

@@ -8,10 +8,12 @@ Public surface:
 * :class:`ShardedDisk` / :func:`make_disk` — the same surface striped
   across N independent shards with per-shard fault domains and parallel
   segment I/O (``repro.storage.sharding``);
-* :class:`DAFMatrix` — Directly Addressable File (dense blocked matrices);
+* :class:`DAFMatrix` — Directly Addressable File (dense blocked matrices),
+  one file per store: header, data, then the block checksum table;
 * :class:`LABTree` — Linearized Array B-tree (sparse-capable B+-tree format);
 * :class:`BlockLayout` / :class:`BlockChecksums` — column-major layout
-  arithmetic and the per-block checksum sidecar;
+  arithmetic and the per-block checksum table (in the DAF file's tail, or
+  a LAB-tree's ``.labc`` file), held in memory while the store is open;
 * :class:`BufferPool` — explicitly capped memory with pinning (Section 4.2):
   the one pool class, private to a run or shared by concurrent queries
   (single lock, loader de-duplication, per-owner pin accounting);

@@ -31,43 +31,63 @@ def block_checksum(data: bytes) -> int:
 
 
 class BlockChecksums:
-    """Per-block checksum sidecar for one store.
+    """Per-block checksum table of one store, from byte ``base`` of
+    ``file`` (a DAF file's tail, or a LAB-tree's ``.labc`` file).
 
     One little-endian uint64 per linear block index: the low 32 bits hold
     the checksum, bit 32 marks the slot as recorded (so a genuine checksum
-    of zero is distinguishable from "never written").  Sidecar I/O is
-    metadata — uncounted, never fault-injected — because it is the machinery
-    that *detects* faults in the data path.
+    of zero is distinguishable from "never written").  The table is read
+    once, when the store opens, and kept in memory; :meth:`record` writes
+    each slot through.  Table I/O is metadata — uncounted, never
+    fault-injected — because it is the machinery that *detects* faults in
+    the data path.
     """
 
     _SET = 1 << 32
     _SLOT = struct.Struct("<Q")
+    SLOT_BYTES = _SLOT.size
 
-    __slots__ = ("file", "num_blocks")
+    __slots__ = ("file", "num_blocks", "base", "_table")
 
-    def __init__(self, file, num_blocks: int):
+    def __init__(self, file, num_blocks: int, base: int = 0):
         self.file = file
         self.num_blocks = int(num_blocks)
+        self.base = int(base)
         size = self._SLOT.size * self.num_blocks
-        if file.size() < size:
-            file.truncate(size)
+        if file.size() < self.base + size:
+            file.truncate(self.base + size)
+        self._table = np.frombuffer(file.read_at(self.base, size, count=False),
+                                    dtype="<u8").tolist()
 
     def record(self, index: int, data: bytes) -> None:
         value = block_checksum(data) | self._SET
-        self.file.write_at(index * self._SLOT.size, self._SLOT.pack(value),
+        self.file.write_at(self.base + index * self._SLOT.size,
+                           self._SLOT.pack(value), count=False, atomic=False)
+        self._table[index] = value
+
+    def fill(self, data: bytes) -> None:
+        """Record ``data``'s checksum in every slot, with one write."""
+        value = block_checksum(data) | self._SET
+        self.file.write_at(self.base, self._SLOT.pack(value) * self.num_blocks,
                            count=False, atomic=False)
+        self._table = [value] * self.num_blocks
 
     def expected(self, index: int) -> int | None:
         """The recorded checksum, or ``None`` if the block was never
         written through the checksummed path."""
-        raw = self.file.read_at(index * self._SLOT.size, self._SLOT.size,
-                                count=False)
-        (value,) = self._SLOT.unpack(raw)
+        value = self._table[index]
         return (value & 0xFFFFFFFF) if value & self._SET else None
 
     def verify(self, index: int, data: bytes) -> bool:
-        expected = self.expected(index)
-        return expected is None or block_checksum(data) == expected
+        checksum = block_checksum(data)
+        if self.expected(index) in (None, checksum):
+            return True
+        # Another handle on the same store may have rewritten the block
+        # since this table was loaded: the slot in the file decides.
+        (self._table[index],) = self._SLOT.unpack(self.file.read_at(
+            self.base + index * self._SLOT.size, self._SLOT.size,
+            count=False))
+        return self.expected(index) in (None, checksum)
 
 
 def read_block_verified(file, offset: int, nbytes: int,
@@ -84,11 +104,10 @@ def read_block_verified(file, offset: int, nbytes: int,
     """
     from ..exceptions import CorruptBlockError
     disk = file.disk
-    expected = checksums.expected(index)
     attempt = 0
     while True:
         data = file.read_at(offset, nbytes, count=count)
-        if expected is None or block_checksum(data) == expected:
+        if checksums.verify(index, data):
             return data
         disk.stats.add(checksum_failures=1)
         tracer = obs_trace.CURRENT
@@ -101,7 +120,7 @@ def read_block_verified(file, offset: int, nbytes: int,
             raise CorruptBlockError(
                 f"{store_name}: block {tuple(coords)} failed checksum "
                 f"verification after {attempt} reads "
-                f"(expected {expected:#010x})")
+                f"(expected {checksums.expected(index):#010x})")
         disk.retry.sleep(attempt)
 
 
@@ -109,7 +128,7 @@ class BlockLayout:
     """Maps block coordinates of an (n-dimensional) blocked array to linear
     block indices and byte offsets, column-major."""
 
-    __slots__ = ("grid", "block_shape", "dtype", "block_bytes")
+    __slots__ = ("grid", "block_shape", "dtype", "block_bytes", "num_blocks")
 
     def __init__(self, grid: Sequence[int], block_shape: Sequence[int],
                  dtype: np.dtype | str = np.float64):
@@ -121,14 +140,11 @@ class BlockLayout:
             raise StorageError("grid and block_shape must be positive")
         self.dtype = np.dtype(dtype)
         self.block_bytes = int(np.prod(self.block_shape)) * self.dtype.itemsize
+        self.num_blocks = int(np.prod(self.grid))
 
     @property
     def rank(self) -> int:
         return len(self.grid)
-
-    @property
-    def num_blocks(self) -> int:
-        return int(np.prod(self.grid))
 
     @property
     def total_shape(self) -> tuple[int, ...]:

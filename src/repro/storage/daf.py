@@ -4,6 +4,11 @@ The simplest of the two RIOTStore formats: one flat file per matrix, blocks
 at computed offsets (column-major block order, column-major elements within
 a block, no stored indexes).  Reads and writes are whole blocks, the
 program's unit of I/O.
+
+One file per store (``DAF2``): a 64-byte header, the data, then one
+tagged uint64 checksum per block (see
+:class:`~repro.storage.blocks.BlockChecksums`).  The two-file ``DAF1``
+layout is refused, not migrated.
 """
 
 from __future__ import annotations
@@ -19,8 +24,14 @@ from .disk import SimulatedDisk
 
 __all__ = ["DAFMatrix"]
 
-_MAGIC = b"DAF1"
+_MAGIC = b"DAF2"
+_OLD_MAGIC = b"DAF1"
 _HEADER_BYTES = 64
+
+
+def _file_bytes(layout: BlockLayout) -> int:
+    return (_HEADER_BYTES + layout.total_bytes
+            + BlockChecksums.SLOT_BYTES * layout.num_blocks)
 
 
 class DAFMatrix:
@@ -28,8 +39,9 @@ class DAFMatrix:
 
     A tiny fixed header records the geometry so files are self-describing;
     header I/O is not counted against the plan (metadata, not data).  Every
-    block write records a checksum in a ``.daf.crc`` sidecar and every read
-    verifies it (see :func:`~repro.storage.blocks.read_block_verified`).
+    block write records a checksum in the table after the data region and
+    every read verifies it (see
+    :func:`~repro.storage.blocks.read_block_verified`).
     """
 
     def __init__(self, disk: SimulatedDisk, name: str, layout: BlockLayout):
@@ -37,8 +49,8 @@ class DAFMatrix:
         self.name = name
         self.layout = layout
         self.file = disk.open(name + ".daf")
-        self.checksums = BlockChecksums(disk.open(name + ".daf.crc"),
-                                        layout.num_blocks)
+        self.checksums = BlockChecksums(self.file, layout.num_blocks,
+                                        base=_HEADER_BYTES + layout.total_bytes)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -48,15 +60,31 @@ class DAFMatrix:
         layout = BlockLayout(grid, block_shape, dtype)
         if layout.rank != 2:
             raise StorageError("DAF stores 2-d matrices")
-        mat = cls(disk, name, layout)
-        mat._write_header()
-        # Preallocate the data region so short-read errors surface early.
-        mat.file.truncate(_HEADER_BYTES + layout.total_bytes)
-        return mat
+        file = disk.open(name + ".daf")
+        # Start from an empty file, so no data or checksum of an earlier
+        # store of the same name survives; then size it, so short-read
+        # errors surface early and the checksum table starts empty.  A new
+        # file is already empty: truncating it to 0 anyway would make ext4
+        # (auto_da_alloc) start writing it back on close.
+        if file.size():
+            file.truncate(0)
+        vals = np.array([*layout.grid, *layout.block_shape,
+                         layout.dtype.itemsize, 0, 0], dtype=np.int64)
+        header = _MAGIC + vals.tobytes()
+        file.write_at(0, header + b"\0" * (_HEADER_BYTES - len(header)),
+                      count=False)
+        file.truncate(_file_bytes(layout))
+        return cls(disk, name, layout)
 
     @classmethod
     def open(cls, disk: SimulatedDisk, name: str) -> "DAFMatrix":
-        header = disk.open(name + ".daf").read_at(0, _HEADER_BYTES, count=False)
+        file = disk.open(name + ".daf")
+        header = file.read_at(0, _HEADER_BYTES, count=False)
+        if header[:4] == _OLD_MAGIC:
+            raise StorageError(
+                f"{name}: a DAF1 store (checksums in a separate sidecar "
+                f"file); this version reads only the one-file DAF2 layout, "
+                f"so recreate the store")
         if header[:4] != _MAGIC:
             raise StorageError(f"{name}: not a DAF file")
         vals = np.frombuffer(header[4:60], dtype=np.int64)
@@ -66,19 +94,17 @@ class DAFMatrix:
         dtype = {8: np.float64, 4: np.float32}.get(itemsize)
         if dtype is None:
             raise StorageError(f"{name}: unsupported itemsize {itemsize}")
-        return cls(disk, name, BlockLayout(grid, block_shape, dtype))
+        layout = BlockLayout(grid, block_shape, dtype)
+        if file.size() < _file_bytes(layout):
+            raise StorageError(
+                f"{name}: file is {file.size()} bytes, shorter than the "
+                f"{_file_bytes(layout)} its header declares")
+        return cls(disk, name, layout)
 
     @classmethod
     def remove(cls, disk: SimulatedDisk, name: str) -> None:
-        """Delete store ``name``'s files: data and checksum sidecar."""
-        for suffix in (".daf", ".daf.crc"):
-            disk.remove(name + suffix)
-
-    def _write_header(self) -> None:
-        vals = np.array([*self.layout.grid, *self.layout.block_shape,
-                         self.layout.dtype.itemsize, 0, 0], dtype=np.int64)
-        header = _MAGIC + vals.tobytes() + b"\0" * (_HEADER_BYTES - 4 - vals.nbytes)
-        self.file.write_at(0, header[:_HEADER_BYTES], count=False)
+        """Delete store ``name``'s file."""
+        disk.remove(name + ".daf")
 
     # -- block I/O -------------------------------------------------------------
 
@@ -163,20 +189,20 @@ class DAFMatrix:
         return out
 
     def preallocate(self) -> None:
-        """Zero-fill the store one block buffer at a time.
+        """Make every block read back as zeros that verify.
 
-        Unlike materializing ``np.zeros(total_shape)``, peak memory stays at
-        one block regardless of matrix size — the point of being
-        out-of-core.  Checksums are recorded, so later reads of untouched
-        regions are verified like any other block.
+        The data region is truncated back to a hole, which the file system
+        reads as zeros without storing them, and the zero block's checksum
+        goes into every slot with one write.  Peak memory is one block
+        however large the matrix, and a store written before reads zeros
+        again.
         """
-        zero = np.zeros(self.layout.block_shape, dtype=self.layout.dtype)
-        for coords in self.layout.iter_blocks():
-            self.write_block(coords, zero, count=False)
+        self.file.truncate(_HEADER_BYTES)
+        self.file.truncate(_file_bytes(self.layout))
+        self.checksums.fill(bytes(self.layout.block_bytes))
 
     def close(self) -> None:
         self.file.flush()
-        self.checksums.file.flush()
 
     def __repr__(self) -> str:
         return f"DAFMatrix({self.name}, {self.layout!r})"

@@ -14,7 +14,7 @@ usual failure modes.  This module supplies the adversary:
   absorb transient faults (absorbed retries are counted in
   ``IOStats.retries``).
 
-Uncounted operations (headers, B-tree pages, checksum sidecars, input
+Uncounted operations (headers, B-tree pages, checksum tables, input
 loading) are never faulted: they model metadata the durability machinery
 itself relies on, and keeping them clean makes the injected-fault sequence
 a deterministic function of the *plan's* I/O alone.

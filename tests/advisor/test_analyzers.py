@@ -3,7 +3,7 @@
 import pytest
 
 from repro.advisor import (AdvisorConfig, AdvisorContext,
-                           BlockGeometryAnalyzer, JobSpec, LayoutAnalyzer,
+                           BlockGeometryAnalyzer, JobSpec,
                            MaterializationAnalyzer, MemoryBudgetAnalyzer,
                            PrefetchAnalyzer, Recommendation, WorkloadSpec,
                            rank, run_analyzers)
@@ -144,34 +144,6 @@ class TestPrefetch:
     def test_no_profile_no_advice(self):
         ctx = AdvisorContext(AdvisorConfig.from_spec(shared_workload(2), CAP))
         assert PrefetchAnalyzer().analyze(ctx) == []
-
-
-class TestLayout:
-    def test_write_elided_intermediate_goes_labtree(self):
-        spec = shared_workload(2)
-        cfg = AdvisorConfig.from_spec(spec, CAP)
-        prof = WorkloadProfile()
-        for j in cfg.jobs:
-            from repro.advisor.workload import JobProfile
-            jp = JobProfile(j.name)
-            jp.per_array = {"C": {"read_bytes": 0, "write_bytes": 0}}
-            prof.jobs[j.name] = jp
-        recs = LayoutAnalyzer().analyze(AdvisorContext(cfg, profile=prof))
-        assert len(recs) == 1
-        assert recs[0].actions[0] == {"type": "store_format", "array": "C",
-                                      "format": "labtree"}
-
-    def test_already_labtree_not_renominated(self):
-        spec = shared_workload(2)
-        cfg = AdvisorConfig.from_spec(spec, CAP,
-                                      store_format={"default": "daf",
-                                                    "C": "labtree"})
-        prof = WorkloadProfile()
-        for j in cfg.jobs:
-            from repro.advisor.workload import JobProfile
-            prof.jobs[j.name] = JobProfile(j.name)
-        recs = LayoutAnalyzer().analyze(AdvisorContext(cfg, profile=prof))
-        assert recs == []
 
 
 class TestRanking:

@@ -4,8 +4,10 @@ byte-exact agreement between predicted and measured I/O and memory."""
 import numpy as np
 import pytest
 
+from repro import add_multiply_program
 from repro.codegen import IOAction, build_executable_plan
 from repro.engine import reference_outputs, run_program
+from repro.engine.executor import UnstoredArray
 from repro.exceptions import BufferPoolError, ExecutionError
 from repro.optimizer import optimize
 from tests.fixtures import example1_program
@@ -91,6 +93,51 @@ class TestStoreFormats:
     def test_missing_input_rejected(self, prog, result, tmp_path):
         with pytest.raises(ExecutionError):
             run_program(prog, P, result.best(), tmp_path, {})
+
+
+class TestUnstoredIntermediate:
+    """add_multiply at n3 = 1: E's one block column reads each C block
+    once, so the best plan shares every C block and elides its writes."""
+
+    P1 = {"n1": 2, "n2": 2, "n3": 1}
+
+    @pytest.fixture(scope="class")
+    def am(self):
+        prog = add_multiply_program()
+        rng = np.random.default_rng(11)
+        inputs = {n: rng.standard_normal(prog.arrays[n].shape_elems(self.P1))
+                  for n in ("A", "B", "D")}
+        return prog, optimize(prog, self.P1), inputs
+
+    def test_elided_intermediate_gets_no_file(self, am, tmp_path):
+        prog, result, inputs = am
+        best = result.best()
+        assert "C" not in build_executable_plan(
+            prog, self.P1, best).disk_arrays()
+        _, outputs = run_program(prog, self.P1, best, tmp_path, inputs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["A.daf", "B.daf", "D.daf", "E.daf"]
+        ref = reference_outputs(prog, self.P1, inputs)
+        assert np.allclose(outputs["E"], ref["E"])
+
+    def test_unshared_plan_stores_the_intermediate(self, am, tmp_path):
+        prog, result, inputs = am
+        plan = result.original_plan
+        assert "C" in build_executable_plan(prog, self.P1, plan).disk_arrays()
+        _, outputs = run_program(prog, self.P1, plan, tmp_path, inputs)
+        assert (tmp_path / "C.daf").exists()
+        ref = reference_outputs(prog, self.P1, inputs)
+        assert np.allclose(outputs["E"], ref["E"])
+
+    def test_placeholder_refuses_block_io(self):
+        store = UnstoredArray("C")
+        with pytest.raises(ExecutionError, match="no store"):
+            store.read_block((0, 0))
+        with pytest.raises(ExecutionError, match="no store"):
+            store.write_block((0, 0), np.zeros((2, 2)))
+        with pytest.raises(ExecutionError, match="no store"):
+            store.read_block_run((0, 0), 2)
+        store.close()
 
 
 class TestExecutablePlanStructure:

@@ -306,8 +306,9 @@ class TestFaultToleranceComposition:
 class TestPrivateStoreLifetime:
     def test_successful_jobs_leave_no_private_stores(self, prog, best_plan,
                                                      tmp_path):
-        """Only the dataset catalog outlives a job: two fds (data +
-        checksum sidecar) per distinct input, no ``<job>__*`` file."""
+        """Only the dataset catalog outlives a job: one fd (the store's
+        one file, checksums in its tail) per distinct input, no
+        ``<job>__*`` file."""
         def fds():
             return len(os.listdir("/proc/self/fd"))
 
@@ -320,9 +321,47 @@ class TestPrivateStoreLifetime:
                        for i in range(20)]
             for f in futures:
                 f.result(timeout=120)
-            assert fds() - before == 2 * datasets
+            assert fds() - before == datasets
             left = [p.name for p in tmp_path.rglob("*") if "__" in p.name]
             assert left == []
+
+    def test_teardown_removes_only_created_stores(self, prog, best_plan,
+                                                  tmp_path):
+        """The best plan elides C: the job never creates ``<job>__C.daf``,
+        and its teardown unlinks only files that exist."""
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            removed = []
+            real_remove = svc.disk.remove
+
+            def remove(name):
+                removed.append((name, svc.disk.exists(name)))
+                real_remove(name)
+
+            svc.disk.remove = remove
+            svc.run(prog, P, _inputs(prog, 3), plan=best_plan,
+                    plan_exact=True, name="lazy")
+        assert removed == [("lazy__E.daf", True)]
+
+    def test_failed_checkpointed_job_with_elided_intermediate_resumes(
+            self, prog, best_plan, tmp_path):
+        inputs = _inputs(prog, 1)
+        expected = reference_outputs(prog, P, inputs)
+        # E's first block lands; the second exhausts the retry budget.
+        injector = FaultInjector(seed=3, policies=[
+            FaultPolicy(match="elide__E.daf", op="write", transient=1.0,
+                        after=1, max_faults=5)])
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
+                          faults=injector) as svc:
+            with pytest.raises(StorageError):
+                svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
+                        name="elide", checkpoint=True)
+            assert (tmp_path / "elide__E.daf").exists()
+            assert not (tmp_path / "elide__C.daf").exists()
+            again = svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
+                            name="elide", resume=True)
+        assert again.report.resumed_from > 0
+        assert not (tmp_path / "elide__C.daf").exists()
+        assert np.allclose(again.outputs["E"], expected["E"])
 
     def test_failed_checkpointed_job_keeps_stores_and_resumes(
             self, prog, best_plan, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import StorageError
+from repro.exceptions import CorruptBlockError, StorageError
 from repro.optimizer import IOModel
 from repro.storage import BlockLayout, DAFMatrix, SimulatedDisk
 
@@ -143,6 +143,77 @@ class TestDAF:
                 idx = m.layout.linearize(coords)
                 assert m.checksums.expected(idx) is not None
             assert np.array_equal(m.read_matrix(), np.zeros((6, 6)))
+
+    def test_one_file_per_store_reopens_verified(self, tmp_path):
+        """Data and checksum table share the store's one file; a reopened
+        store loads the table, so bit rot in the data region (still at
+        byte 64) is caught."""
+        blk = np.full((3, 3), 5.0)
+        with SimulatedDisk(tmp_path) as disk:
+            m = DAFMatrix.create(disk, "M", (2, 2), (3, 3))
+            m.write_block((1, 1), blk)
+            m.close()
+            offset = 64 + m.layout.offset_of((1, 1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["M.daf"]
+        with SimulatedDisk(tmp_path) as disk:
+            m = DAFMatrix.open(disk, "M")
+            assert m.checksums.expected(m.layout.linearize((1, 1))) is not None
+            assert np.array_equal(m.read_block((1, 1)), blk)
+            assert disk.stats.checksum_failures == 0
+        with open(tmp_path / "M.daf", "r+b") as fh:
+            fh.seek(offset)
+            fh.write(b"garbage!")
+        with SimulatedDisk(tmp_path) as disk:
+            with pytest.raises(CorruptBlockError):
+                DAFMatrix.open(disk, "M").read_block((1, 1))
+
+    def test_create_starts_from_an_empty_file(self, tmp_path):
+        with SimulatedDisk(tmp_path) as disk:
+            m = DAFMatrix.create(disk, "M", (2, 2), (3, 3))
+            m.write_matrix(np.ones((6, 6)))
+            again = DAFMatrix.create(disk, "M", (2, 2), (3, 3))
+            assert all(again.checksums.expected(i) is None for i in range(4))
+            assert not again.read_matrix().any()
+
+    def test_preallocate_on_written_store_reads_verified_zeros(self, tmp_path):
+        with SimulatedDisk(tmp_path) as disk:
+            m = DAFMatrix.create(disk, "M", (2, 2), (3, 3))
+            m.write_matrix(np.arange(36.0).reshape(6, 6))
+            m.preallocate()
+            assert np.array_equal(m.read_matrix(), np.zeros((6, 6)))
+            assert disk.stats.checksum_failures == 0
+            assert all(m.checksums.expected(i) is not None for i in range(4))
+        with SimulatedDisk(tmp_path) as disk:
+            m = DAFMatrix.open(disk, "M")
+            assert np.array_equal(m.read_matrix(), np.zeros((6, 6)))
+            assert disk.stats.checksum_failures == 0
+
+    def test_write_through_one_handle_reads_through_another(self, tmp_path):
+        """Each handle keeps its own copy of the checksum table; a reader
+        whose copy is stale re-reads the slot instead of failing."""
+        blk = np.full((3, 3), 2.5)
+        with SimulatedDisk(tmp_path) as disk:
+            writer = DAFMatrix.create(disk, "M", (2, 2), (3, 3))
+            writer.preallocate()
+            reader = DAFMatrix.open(disk, "M")
+            writer.write_block((0, 1), blk)
+            assert np.array_equal(reader.read_block((0, 1)), blk)
+            blocks, extra = reader.read_block_run((0, 0), 4)
+            assert np.array_equal(blocks[2], blk) and extra == [0] * 4
+            assert disk.stats.checksum_failures == 0
+
+    def test_open_refuses_two_file_layout(self, tmp_path):
+        """A DAF1 store kept its checksums in a sidecar; read as DAF2 its
+        table would look empty and every block would pass unverified."""
+        header = b"DAF1" + np.array([2, 2, 3, 3, 8, 0, 0],
+                                    dtype=np.int64).tobytes()
+        path = tmp_path / "old.daf"
+        path.write_bytes(header + b"\0" * (64 - len(header) + 4 * 72))
+        size = path.stat().st_size
+        with SimulatedDisk(tmp_path) as disk:
+            with pytest.raises(StorageError, match="DAF1"):
+                DAFMatrix.open(disk, "old")
+        assert path.stat().st_size == size
 
     def test_open_rejects_garbage(self, tmp_path):
         with SimulatedDisk(tmp_path) as disk:
