@@ -45,8 +45,9 @@ from ..obs import trace as obs_trace
 from ..obs.validate import RESUME_STMT, CostValidation, validate_cost
 from ..optimizer.costing import IOModel
 from ..optimizer.plan import Plan
-from ..storage import (BufferPool, DAFMatrix, FaultInjector, IOStats, LABTree,
-                       RetryPolicy, SimulatedDisk, make_disk)
+from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
+                       IOStats, LABTree, RetryPolicy, SimulatedDisk,
+                       make_disk)
 from .journal import ExecutionJournal, plan_fingerprint
 from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
@@ -520,7 +521,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             inputs: Mapping[str, np.ndarray], disk: SimulatedDisk, *,
             formats: Mapping[str, str],
             names: "Mapping[str, str] | None" = None,
-            catalog: "tuple[dict, threading.Lock] | None" = None,
+            catalog: DatasetCatalog | None = None,
             breaker_for: Callable[[str], object] = lambda name: None,
             journal_path: "Path | None" = None, resume: bool = False,
             pool: BufferPool | None = None,
@@ -538,10 +539,10 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
 
     * ``formats`` / ``names`` — per logical array, the store's layout (a
       :data:`STORE_FACTORIES` key) and on-disk name (default: the logical);
-    * ``catalog`` — ``(stores, lock)``: INPUT stores shared across jobs,
-      keyed by on-disk name, each opened or ingested once under the lock
-      and owned by the catalog's owner; without a catalog inputs are this
-      job's own, like every other array;
+    * ``catalog`` — a :class:`~repro.storage.DatasetCatalog` of ``disk``:
+      INPUT arrays are its datasets, shared across jobs by on-disk name,
+      each ingested once and owned by the catalog; without a catalog
+      inputs are this job's own, like every other array;
     * ``breaker_for`` — circuit breaker (or ``None``) per on-disk name;
     * ``journal_path`` — checkpoint every instance there; with ``resume``
       and an existing journal the job's own stores are rolled back to
@@ -577,20 +578,27 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
         own = tuple(names[n] + "." for n in program.arrays if n not in shared)
         disk.recover(match=lambda fname: fname.startswith(own))
 
-    def open_store(lname: str, reuse: bool):
+    def input_matrix(lname: str) -> np.ndarray:
+        if lname not in inputs:
+            raise ExecutionError(f"missing input matrix {lname!r}")
+        return inputs[lname]
+
+    def open_store(lname: str):
         arr = program.arrays[lname]
         if arr.kind is ArrayKind.INTERMEDIATE and lname not in on_disk:
             return UnstoredArray(lname)
+        dtype = {8: np.float64, 4: np.float32}[arr.dtype_bytes]
+        if lname in shared:
+            return catalog.dataset(names[lname], arr.num_blocks(params),
+                                   arr.block_shape, dtype,
+                                   input_matrix(lname))
         factory, marker = STORE_FACTORIES[formats[lname]]
-        if reuse and disk.exists(names[lname] + marker):
+        if resuming and disk.exists(names[lname] + marker):
             return factory.open(disk, names[lname])
         store = factory.create(disk, names[lname], arr.num_blocks(params),
-                               arr.block_shape,
-                               {8: np.float64, 4: np.float32}[arr.dtype_bytes])
+                               arr.block_shape, dtype)
         if arr.kind is ArrayKind.INPUT:
-            if lname not in inputs:
-                raise ExecutionError(f"missing input matrix {lname!r}")
-            store.write_matrix(inputs[lname], count=False)
+            store.write_matrix(input_matrix(lname), count=False)
         elif factory is DAFMatrix:
             # Unwritten regions read as zeros that verify (LAB-tree blocks
             # materialize on first write).
@@ -600,14 +608,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
     stores: dict[str, object] = {}
     try:
         for lname in program.arrays:
-            if lname in shared:
-                datasets, lock = catalog
-                with lock:
-                    if names[lname] not in datasets:
-                        datasets[names[lname]] = open_store(lname, reuse=True)
-                    stores[lname] = datasets[names[lname]]
-            else:
-                stores[lname] = open_store(lname, reuse=resuming)
+            stores[lname] = open_store(lname)
         counted = {n: CountingStore(s, breaker_for(names[n]))
                    for n, s in stores.items()}
         report = execute_plan(exec_plan, counted, disk, memory_cap_bytes,

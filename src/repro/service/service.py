@@ -22,7 +22,9 @@ Key namespacing — how many queries coexist in one pool:
 
 * INPUT arrays are stored once per *content* under ``ds_<digest>`` names
   (digest over bytes, dtype, shape and block geometry), so identical inputs
-  of different jobs collide deliberately into shared buffer keys;
+  of different jobs collide deliberately into shared buffer keys; on the
+  thread backend they are datasets of one
+  :class:`~repro.storage.DatasetCatalog` file, which outlives the service;
 * every other array is private under ``<job>__<name>``, so two jobs running
   the same program template never alias their intermediates.
 
@@ -75,8 +77,8 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..optimizer import IOModel, Optimizer
 from ..optimizer.plan import Plan
-from ..storage import (BufferPool, DAFMatrix, FaultInjector, RetryPolicy,
-                       make_disk)
+from ..storage import (BufferPool, DatasetCatalog, FaultInjector,
+                       RetryPolicy, make_disk)
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
                          HealthController, JobRetryPolicy)
@@ -404,11 +406,14 @@ class ArrayService:
         self._adm_queue: deque[_Ticket] = deque()
         self._admitted = 0
         self._pending = 0
-        self._lock = threading.Lock()  # job naming + dataset catalog
+        self._lock = threading.Lock()  # job naming, tokens, worker pool
         self._job_seq = 0
         self._active: set[str] = set()
         self._tokens: dict[str, CancelToken] = {}
-        self._datasets: dict[str, DAFMatrix] = {}
+        # The thread backend's inputs: every dataset in one catalog file on
+        # the shared disk (a worker process ingests into its own disk, and
+        # the catalog creates its file only when first asked).
+        self.catalog = DatasetCatalog(self.disk)
         self._closed = False
         if degrade is True:
             degrade = DegradePolicy()
@@ -457,8 +462,7 @@ class ArrayService:
             # Without ``wait`` jobs may still be running on these blocks.
             # (A pinned block stays: a leaked pin must remain visible.)
             self.pool.drop_matching(lambda key: True, force=True)
-        for store in self._datasets.values():
-            store.close()
+        self.catalog.close()
         self.disk.close()
 
     def close(self, cancel_running: bool = False) -> None:
@@ -885,7 +889,7 @@ class ArrayService:
                     report, outputs, io, exec_plan = run_job(
                         job.program, job.params, plan, job.inputs, self.disk,
                         formats=formats, names=names,
-                        catalog=(self._datasets, self._lock),
+                        catalog=self.catalog,
                         breaker_for=self.health.breaker_for,
                         journal_path=jobdir / "execution.journal"
                         if journaled else None, resume=job.resume,

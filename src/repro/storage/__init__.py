@@ -8,8 +8,11 @@ Public surface:
 * :class:`ShardedDisk` / :func:`make_disk` — the same surface striped
   across N independent shards with per-shard fault domains and parallel
   segment I/O (``repro.storage.sharding``);
-* :class:`DAFMatrix` — Directly Addressable File (dense blocked matrices),
-  one file per store: header, data, then the block checksum table;
+* :class:`DAFMatrix` — Directly Addressable File (dense blocked matrices):
+  header, data, then the block checksum table, addressed from a base
+  offset — a store's own file from 0, or an extent of a catalog file;
+* :class:`DatasetCatalog` — every shared dataset of one disk in one
+  append-only file, each a sealed extent holding a DAF store;
 * :class:`LABTree` — Linearized Array B-tree (sparse-capable B+-tree format);
 * :class:`BlockLayout` / :class:`BlockChecksums` — column-major layout
   arithmetic and the per-block checksum table (in the DAF file's tail, or
@@ -24,7 +27,7 @@ Public surface:
 
 from .blocks import BlockChecksums, BlockLayout, block_checksum
 from .buffer import BufferedBlock, BufferPool, SharedBufferPool
-from .daf import DAFMatrix
+from .daf import DAFMatrix, DatasetCatalog
 from .disk import DiskFile, IOStats, SimulatedDisk
 from .faults import FaultInjector, FaultPolicy, InjectedFault, RetryPolicy
 from .labtree import LABTree
@@ -38,6 +41,7 @@ __all__ = [
     "BufferedBlock",
     "SharedBufferPool",
     "DAFMatrix",
+    "DatasetCatalog",
     "FaultInjector",
     "FaultPolicy",
     "InjectedFault",

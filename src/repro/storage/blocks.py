@@ -92,7 +92,8 @@ class BlockChecksums:
 
 def read_block_verified(file, offset: int, nbytes: int,
                         checksums: "BlockChecksums", index: int,
-                        store_name: str, coords, count: bool = True) -> bytes:
+                        store_name: str, coords, count: bool = True,
+                        file_name: str | None = None) -> bytes:
     """Checksum-verified positional block read with bounded re-reads.
 
     Transient faults are already absorbed inside ``file.read_at``; this
@@ -100,13 +101,14 @@ def read_block_verified(file, offset: int, nbytes: int,
     counts it in ``IOStats.checksum_failures``, and re-reads up to the
     disk's retry budget — a fresh read of an intact disk copy heals an
     in-flight bit flip.  Persistent mismatch raises
-    :class:`~repro.exceptions.CorruptBlockError`.
+    :class:`~repro.exceptions.CorruptBlockError`.  ``file_name`` is the
+    name the read reaches fault policies under (default: the file's).
     """
     from ..exceptions import CorruptBlockError
     disk = file.disk
     attempt = 0
     while True:
-        data = file.read_at(offset, nbytes, count=count)
+        data = file.read_at(offset, nbytes, count=count, name=file_name)
         if checksums.verify(index, data):
             return data
         disk.stats.add(checksum_failures=1)

@@ -5,15 +5,19 @@ at computed offsets (column-major block order, column-major elements within
 a block, no stored indexes).  Reads and writes are whole blocks, the
 program's unit of I/O.
 
-One file per store (``DAF2``): a 64-byte header, the data, then one
-tagged uint64 checksum per block (see
-:class:`~repro.storage.blocks.BlockChecksums`).  The two-file ``DAF1``
+A store (``DAF2``) is a 64-byte header, the data, then one tagged uint64
+checksum per block (see :class:`~repro.storage.blocks.BlockChecksums`),
+addressed from a ``base`` offset: a standalone store is the extent
+``[0, size)`` of its own file, and a dataset of a :class:`DatasetCatalog`
+is an extent of the disk's one catalog file.  The two-file ``DAF1``
 layout is refused, not migrated.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import struct
+import threading
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from ..obs import trace as obs_trace
 from .blocks import BlockChecksums, BlockLayout, read_block_verified
 from .disk import SimulatedDisk
 
-__all__ = ["DAFMatrix"]
+__all__ = ["DAFMatrix", "DatasetCatalog"]
 
 _MAGIC = b"DAF2"
 _OLD_MAGIC = b"DAF1"
@@ -37,49 +41,70 @@ def _file_bytes(layout: BlockLayout) -> int:
 class DAFMatrix:
     """A dense blocked matrix stored in a directly addressable file.
 
-    A tiny fixed header records the geometry so files are self-describing;
+    A tiny fixed header records the geometry so stores are self-describing;
     header I/O is not counted against the plan (metadata, not data).  Every
     block write records a checksum in the table after the data region and
     every read verifies it (see
     :func:`~repro.storage.blocks.read_block_verified`).
+
+    The store occupies ``[base, base + size)`` of ``file``: by default its
+    own ``<name>.daf`` from offset 0, or an extent a
+    :class:`DatasetCatalog` carved.  Either way fault policies, traces and
+    errors name it ``<name>.daf``.
     """
 
-    def __init__(self, disk: SimulatedDisk, name: str, layout: BlockLayout):
+    def __init__(self, disk: SimulatedDisk, name: str, layout: BlockLayout,
+                 file=None, base: int = 0):
         self.disk = disk
         self.name = name
         self.layout = layout
-        self.file = disk.open(name + ".daf")
+        self.file_name = name + ".daf"
+        self.file = file if file is not None else disk.open(self.file_name)
+        self.base = base
+        self._data = base + _HEADER_BYTES
         self.checksums = BlockChecksums(self.file, layout.num_blocks,
-                                        base=_HEADER_BYTES + layout.total_bytes)
+                                        base=self._data + layout.total_bytes)
 
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
     def create(cls, disk: SimulatedDisk, name: str, grid: Sequence[int],
-               block_shape: Sequence[int], dtype=np.float64) -> "DAFMatrix":
+               block_shape: Sequence[int], dtype=np.float64, file=None,
+               base: int = 0) -> "DAFMatrix":
+        """A new store in its own file, or (given ``file``) in the extent
+        at ``base`` of it, which the caller has sized and left reading as
+        zeros."""
         layout = BlockLayout(grid, block_shape, dtype)
         if layout.rank != 2:
             raise StorageError("DAF stores 2-d matrices")
-        file = disk.open(name + ".daf")
-        # Start from an empty file, so no data or checksum of an earlier
-        # store of the same name survives; then size it, so short-read
-        # errors surface early and the checksum table starts empty.  A new
-        # file is already empty: truncating it to 0 anyway would make ext4
-        # (auto_da_alloc) start writing it back on close.
-        if file.size():
-            file.truncate(0)
+        own = file is None
+        if own:
+            file = disk.open(name + ".daf")
+            # Start from an empty file, so no data or checksum of an
+            # earlier store of the same name survives; then size it, so
+            # short-read errors surface early and the checksum table starts
+            # empty.  A new file is already empty: truncating it to 0
+            # anyway would make ext4 (auto_da_alloc) start writing it back
+            # on close.
+            if file.size():
+                file.truncate(0)
         vals = np.array([*layout.grid, *layout.block_shape,
                          layout.dtype.itemsize, 0, 0], dtype=np.int64)
         header = _MAGIC + vals.tobytes()
-        file.write_at(0, header + b"\0" * (_HEADER_BYTES - len(header)),
+        file.write_at(base, header + b"\0" * (_HEADER_BYTES - len(header)),
                       count=False)
-        file.truncate(_file_bytes(layout))
-        return cls(disk, name, layout)
+        if own:
+            file.truncate(_file_bytes(layout))
+        return cls(disk, name, layout, file, base)
 
     @classmethod
-    def open(cls, disk: SimulatedDisk, name: str) -> "DAFMatrix":
-        file = disk.open(name + ".daf")
-        header = file.read_at(0, _HEADER_BYTES, count=False)
+    def open(cls, disk: SimulatedDisk, name: str, file=None,
+             base: int = 0) -> "DAFMatrix":
+        """Reopen store ``name``: its own file, or the extent at ``base``
+        of ``file``."""
+        if file is None:
+            file = disk.open(name + ".daf")
+        header = file.read_at(base, _HEADER_BYTES, count=False)
         if header[:4] == _OLD_MAGIC:
             raise StorageError(
                 f"{name}: a DAF1 store (checksums in a separate sidecar "
@@ -95,11 +120,11 @@ class DAFMatrix:
         if dtype is None:
             raise StorageError(f"{name}: unsupported itemsize {itemsize}")
         layout = BlockLayout(grid, block_shape, dtype)
-        if file.size() < _file_bytes(layout):
+        if file.size() < base + _file_bytes(layout):
             raise StorageError(
                 f"{name}: file is {file.size()} bytes, shorter than the "
-                f"{_file_bytes(layout)} its header declares")
-        return cls(disk, name, layout)
+                f"{base + _file_bytes(layout)} its header declares")
+        return cls(disk, name, layout, file, base)
 
     @classmethod
     def remove(cls, disk: SimulatedDisk, name: str) -> None:
@@ -111,17 +136,17 @@ class DAFMatrix:
     def write_block(self, coords: Sequence[int], block: np.ndarray,
                     count: bool = True) -> None:
         index = self.layout.linearize(coords)
-        offset = _HEADER_BYTES + index * self.layout.block_bytes
+        offset = self._data + index * self.layout.block_bytes
         data = self.layout.block_to_bytes(block)
-        self.file.write_at(offset, data, count=count)
+        self.file.write_at(offset, data, count=count, name=self.file_name)
         self.checksums.record(index, data)
 
     def read_block(self, coords: Sequence[int], count: bool = True) -> np.ndarray:
         index = self.layout.linearize(coords)
-        offset = _HEADER_BYTES + index * self.layout.block_bytes
+        offset = self._data + index * self.layout.block_bytes
         data = read_block_verified(self.file, offset, self.layout.block_bytes,
                                    self.checksums, index, self.name, coords,
-                                   count=count)
+                                   count=count, file_name=self.file_name)
         return self.layout.bytes_to_block(data)
 
     def read_block_run(self, start_coords: Sequence[int], nblocks: int,
@@ -145,8 +170,9 @@ class DAFMatrix:
             raise StorageError(
                 f"{self.name}: run of {nblocks} blocks from {tuple(start_coords)} "
                 f"exceeds grid {self.layout.grid}")
-        offset = _HEADER_BYTES + start * bb
-        data = self.file.read_at(offset, nblocks * bb, count=count)
+        offset = self._data + start * bb
+        data = self.file.read_at(offset, nblocks * bb, count=count,
+                                 name=self.file_name)
         blocks: list[np.ndarray] = []
         extra = [0] * nblocks
         stats = self.disk.stats
@@ -195,8 +221,12 @@ class DAFMatrix:
         reads as zeros without storing them, and the zero block's checksum
         goes into every slot with one write.  Peak memory is one block
         however large the matrix, and a store written before reads zeros
-        again.
+        again.  Only a store in its own file can: an extent cannot be
+        truncated.
         """
+        if self.base:
+            raise StorageError(f"{self.name}: a catalog dataset cannot be "
+                               f"preallocated")
         self.file.truncate(_HEADER_BYTES)
         self.file.truncate(_file_bytes(self.layout))
         self.checksums.fill(bytes(self.layout.block_bytes))
@@ -206,3 +236,98 @@ class DAFMatrix:
 
     def __repr__(self) -> str:
         return f"DAFMatrix({self.name}, {self.layout!r})"
+
+
+#: An extent's record: its length, then the seal and the dataset's name,
+#: written last.
+_RECORD = struct.Struct("<Q4s52s")
+_SEAL = b"DSX1"
+#: Extents start on page boundaries, so a fresh one is a whole-page hole.
+_EXTENT_ALIGN = 4096
+
+
+class DatasetCatalog:
+    """Every dataset of one disk in one append-only file, ``datasets.cat``.
+
+    A dataset is a fixed-size extent: a 64-byte record (the extent's
+    length, a seal, the dataset's name), then an ordinary DAF2 store.
+    Ingest carves the extent at the end of the file under the catalog lock
+    (a bump pointer and a ``truncate``, so it starts as a hole), writes
+    the length, the store's blocks and checksums, and seals the record
+    last.  Only a sealed dataset is ever published: one whose ingest died
+    is skipped, never read as zeros.
+
+    The file is opened on the first :meth:`dataset` call, so a catalog
+    nobody asks creates nothing.  Opening scans the records, one small
+    read per extent, skipping by length; sealed datasets are registered
+    and opened on first use, and an unsealed tail is cut off.  The disk
+    holds one descriptor for the catalog however many datasets it holds.
+    """
+
+    FILE = "datasets.cat"
+
+    def __init__(self, disk: SimulatedDisk):
+        self.disk = disk
+        self.file = None
+        self._lock = threading.Lock()
+        self._stores: dict[str, DAFMatrix] = {}
+        self._sealed: dict[str, int] = {}  # found by the scan, not yet open
+        self._end = 0
+
+    def _open(self) -> None:
+        self.file = self.disk.open(self.FILE)
+        size = self.file.size()
+        pos = 0
+        while pos + _RECORD.size <= size:
+            length, seal, name = _RECORD.unpack(
+                self.file.read_at(pos, _RECORD.size, count=False))
+            if length < _RECORD.size or pos + length > size:
+                break
+            if seal == _SEAL:
+                self._sealed[name.rstrip(b"\0").decode()] = pos + _RECORD.size
+                self._end = pos + length
+            pos += length
+        if size > self._end:
+            self.file.truncate(self._end)
+
+    def dataset(self, name: str, grid: Sequence[int],
+                block_shape: Sequence[int], dtype,
+                matrix: np.ndarray) -> DAFMatrix:
+        """Dataset ``name``, ingested from ``matrix`` unless the catalog
+        already holds it."""
+        with self._lock:
+            if self.file is None:
+                self._open()
+            store = self._stores.get(name)
+            if store is None:
+                base = self._sealed.pop(name, None)
+                store = self._ingest(name, grid, block_shape, dtype, matrix) \
+                    if base is None else \
+                    DAFMatrix.open(self.disk, name, self.file, base)
+                self._stores[name] = store
+            return store
+
+    def _ingest(self, name, grid, block_shape, dtype, matrix) -> DAFMatrix:
+        label = name.encode()
+        if len(label) > 52:
+            raise StorageError(f"{name}: dataset name too long")
+        layout = BlockLayout(grid, block_shape, dtype)
+        pos = self._end
+        length = -(-(_RECORD.size + _file_bytes(layout))
+                   // _EXTENT_ALIGN) * _EXTENT_ALIGN
+        self.file.truncate(pos + length)
+        self.file.write_at(pos, _RECORD.pack(length, b"", b""), count=False)
+        self._end = pos + length
+        store = DAFMatrix.create(self.disk, name, grid, block_shape, dtype,
+                                 self.file, pos + _RECORD.size)
+        store.write_matrix(matrix, count=False)
+        self.file.write_at(pos, _RECORD.pack(length, _SEAL, label),
+                           count=False)
+        return store
+
+    def close(self) -> None:
+        with self._lock:
+            self._stores.clear()
+            self._sealed.clear()
+            if self.file is not None:
+                self.file.close()

@@ -208,7 +208,7 @@ class SimulatedDisk:
 
     def open(self, name: str) -> "DiskFile":
         # Serialized: concurrent executors opening the same store must share
-        # one DiskFile (and its file lock), not race two handles into being.
+        # one DiskFile (one descriptor), not race two handles into being.
         with self._open_lock:
             if self._closed:
                 raise StorageError("disk is closed")
@@ -322,53 +322,55 @@ class DiskFile:
 
     Counted operations pass through the disk's fault injector (if any) and
     its retry policy; uncounted (metadata) operations are always clean.
+    ``name`` (default: the file's own name) is what fault policies, traces
+    and errors call the store an operation belongs to: a dataset in the
+    catalog file keeps its own ``ds_<digest>.daf`` identity.
+
+    Every transfer is one ``pread``/``pwrite`` on a raw descriptor, so
+    concurrent readers of one file need no lock and never queue.
     """
 
     def __init__(self, disk: SimulatedDisk, path: Path):
         self.disk = disk
         self.path = path
-        # "r+b" honours seek positions on write ("a+b" would append always)
-        # but refuses a missing file, so O_CREAT does the creating — in the
-        # same system call, where exists() + touch() + open() took five.
-        self._fh = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666),
-                             "r+b")
-        # Positional I/O is a seek-then-transfer pair on one shared handle;
-        # concurrent executors reading different blocks of the same store
-        # must not interleave the pairs.  Held only around file-handle
-        # operations — never across retry backoff sleeps.
-        self._lock = threading.Lock()
+        # O_CREAT creates a missing file in the same system call.  The
+        # unbuffered file object only owns the descriptor: it closes it on
+        # close() or, like any file, when garbage-collected unclosed.
+        self._file = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666),
+                               "r+b", buffering=0)
+        self._fd = self._file.fileno()
 
-    def read_at(self, offset: int, size: int, count: bool = True) -> bytes:
+    def read_at(self, offset: int, size: int, count: bool = True,
+                name: str | None = None) -> bytes:
         if offset < 0 or size < 0:
             raise StorageError(f"bad read range offset={offset} size={size}")
+        name = name or self.path.name
         injector = self.disk.fault_injector if count else None
         attempt = 0
         while True:
-            fault = injector.on_read(self.path.name, offset, size) \
+            fault = injector.on_read(name, offset, size) \
                 if injector else None
             if fault is not None and fault[0] == "transient":
                 attempt += 1
                 err = TransientIOError(
-                    f"{self.path.name}: injected transient read fault at "
+                    f"{name}: injected transient read fault at "
                     f"{offset} (attempt {attempt})")
                 if attempt > self.disk.retry.max_retries:
                     raise StorageError(
-                        f"{self.path.name}: read at {offset} failed after "
+                        f"{name}: read at {offset} failed after "
                         f"{attempt} attempts (transient I/O errors)") from err
                 self.disk.stats.add(retries=1)
                 tracer = obs_trace.CURRENT
                 if tracer is not None:
                     tracer.instant("disk.retry", "storage", op="read",
-                                   file=self.path.name, offset=offset,
+                                   file=name, offset=offset,
                                    attempt=attempt)
                 self.disk.retry.sleep(attempt)
                 continue
-            with self._lock:
-                self._fh.seek(offset)
-                data = self._fh.read(size)
+            data = os.pread(self._fd, size, offset)
             if len(data) != size:
                 raise StorageError(
-                    f"{self.path.name}: short read at {offset} "
+                    f"{name}: short read at {offset} "
                     f"({len(data)}/{size} bytes)")
             if fault is not None and fault[0] == "corrupt":
                 data = FaultInjector.corrupt(data, fault[1])
@@ -378,23 +380,23 @@ class DiskFile:
                     self.disk._hist_read.observe(size)
                 tracer = obs_trace.CURRENT
                 if tracer is not None:
-                    tracer.instant("disk.read", "storage",
-                                   file=self.path.name, offset=offset,
-                                   bytes=size)
+                    tracer.instant("disk.read", "storage", file=name,
+                                   offset=offset, bytes=size)
                 self.disk.pace_sleep(read_bytes=size)
             return data
 
     def write_at(self, offset: int, data: bytes, count: bool = True,
-                 atomic: bool | None = None) -> None:
+                 atomic: bool | None = None, name: str | None = None) -> None:
         """Positional write; ``atomic`` defaults to the disk policy for
         counted writes (metadata writes are in-place, as before)."""
         if offset < 0:
             raise StorageError(f"bad write offset {offset}")
+        name = name or self.path.name
         if atomic is None:
             atomic = self.disk.atomic_writes and count
         undo = self._stage_undo(offset, len(data)) if atomic else None
         # On failure the undo record deliberately survives for recover().
-        self._write_retried(offset, data, count)
+        self._write_retried(offset, data, count, name)
         if undo is not None:
             undo.unlink(missing_ok=True)
         if count:
@@ -403,7 +405,7 @@ class DiskFile:
                 self.disk._hist_write.observe(len(data))
             tracer = obs_trace.CURRENT
             if tracer is not None:
-                tracer.instant("disk.write", "storage", file=self.path.name,
+                tracer.instant("disk.write", "storage", file=name,
                                offset=offset, bytes=len(data))
             self.disk.pace_sleep(write_bytes=len(data))
 
@@ -417,10 +419,7 @@ class DiskFile:
         current = self.size()
         if offset >= current:
             return None
-        keep = min(size, current - offset)
-        with self._lock:
-            self._fh.seek(offset)
-            old = self._fh.read(keep)
+        old = os.pread(self._fd, min(size, current - offset), offset)
         undo = self.path.parent / _undo_name(self.path.name, offset)
         tmp = undo.parent / (undo.name + ".tmp")
         with open(tmp, "wb") as fh:
@@ -431,56 +430,53 @@ class DiskFile:
         os.rename(tmp, undo)
         return undo
 
-    def _write_retried(self, offset: int, data: bytes, count: bool) -> None:
+    def _pwrite(self, offset: int, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            n = os.pwrite(self._fd, view, offset)
+            view, offset = view[n:], offset + n
+
+    def _write_retried(self, offset: int, data: bytes, count: bool,
+                       name: str) -> None:
         injector = self.disk.fault_injector if count else None
         attempt = 0
         while True:
-            fault = injector.on_write(self.path.name, offset, len(data)) \
+            fault = injector.on_write(name, offset, len(data)) \
                 if injector else None
             if fault is not None:
                 kind, detail = fault
                 if kind == "torn":
                     # A strict prefix lands before the op dies.
-                    with self._lock:
-                        self._fh.seek(offset)
-                        self._fh.write(data[:detail])
-                        self._fh.flush()
+                    self._pwrite(offset, data[:detail])
                 attempt += 1
                 err = TransientIOError(
-                    f"{self.path.name}: injected {kind} write fault at "
+                    f"{name}: injected {kind} write fault at "
                     f"{offset} (attempt {attempt})")
                 if attempt > self.disk.retry.max_retries:
                     raise StorageError(
-                        f"{self.path.name}: write at {offset} failed after "
+                        f"{name}: write at {offset} failed after "
                         f"{attempt} attempts ({kind} I/O errors)") from err
                 self.disk.stats.add(retries=1)
                 tracer = obs_trace.CURRENT
                 if tracer is not None:
                     tracer.instant("disk.retry", "storage", op="write",
-                                   kind=kind, file=self.path.name,
+                                   kind=kind, file=name,
                                    offset=offset, attempt=attempt)
                 self.disk.retry.sleep(attempt)
                 continue
-            with self._lock:
-                self._fh.seek(offset)
-                self._fh.write(data)
-                if self.disk.fsync:
-                    self._fh.flush()
-                    os.fsync(self._fh.fileno())
+            self._pwrite(offset, data)
+            if self.disk.fsync:
+                os.fsync(self._fd)
             return
 
     def size(self) -> int:
-        with self._lock:
-            self._fh.seek(0, os.SEEK_END)
-            return self._fh.tell()
+        return os.fstat(self._fd).st_size
 
     def truncate(self, size: int) -> None:
-        self._fh.truncate(size)
+        os.ftruncate(self._fd, size)
 
     def flush(self) -> None:
-        self._fh.flush()
+        """Nothing to do: every write went straight to the kernel."""
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        self._file.close()

@@ -12,9 +12,9 @@ the stack onto that hardware shape without changing a single caller:
   checkpoint/resume and the advisor all compose unchanged;
 * every logical file is **striped**: byte stripe ``s`` of file ``name``
   lives on shard ``(H(name) + s) mod N`` — deterministic placement keyed
-  by the content address (the service's ``ds_<digest>`` names hash the
-  data itself) plus the linear stripe index, so re-opening a store finds
-  its blocks without any mapping metadata;
+  by the file name plus the linear stripe index, so re-opening a store
+  finds its blocks without any mapping metadata (the service's datasets
+  are extents of one catalog file, spread over its stripes);
 * each shard is a full :class:`SimulatedDisk` with its **own** fault
   injector, retry budget, pacing channel and undo-record log — fault
   domains are per shard, and :meth:`recover` fans out to every one;
@@ -58,10 +58,8 @@ DEFAULT_STRIPE_BYTES = 64 << 10
 def _name_base(name: str) -> int:
     """Stable placement origin for one file name.
 
-    The service's dataset stores are content-addressed (``ds_<digest>``),
-    so hashing the name *is* hashing the content address; private stores
-    hash their job-scoped name.  blake2b keeps placement stable across
-    processes (``hash()`` is salted per interpreter).
+    blake2b keeps placement stable across processes (``hash()`` is salted
+    per interpreter).
     """
     return int.from_bytes(
         hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
@@ -265,7 +263,9 @@ class ShardedDisk:
 class ShardedFile:
     """One logical file striped across the shards; positional + counted.
 
-    Presents the :class:`~repro.storage.disk.DiskFile` surface.  Stripes
+    Presents the :class:`~repro.storage.disk.DiskFile` surface, ``name``
+    included: a segment reaches its shard's fault injector under the
+    caller's store name.  Stripes
     keep their **global** offsets inside each shard's backing file (the
     files are sparse where other shards own the bytes), so shard-local
     addressing is the identity and undo records survive re-sharding-free
@@ -289,7 +289,7 @@ class ShardedFile:
     # -- stripe arithmetic ---------------------------------------------------
 
     def owner(self, stripe: int) -> int:
-        """Deterministic stripe placement: content-address hash + index."""
+        """Deterministic stripe placement: file-name hash + index."""
         return (self._base + stripe) % self.disk.nshards
 
     def segments(self, offset: int, size: int) -> list[tuple[int, int, int]]:
@@ -314,7 +314,8 @@ class ShardedFile:
 
     # -- counted positional I/O ----------------------------------------------
 
-    def read_at(self, offset: int, size: int, count: bool = True) -> bytes:
+    def read_at(self, offset: int, size: int, count: bool = True,
+                name: str | None = None) -> bytes:
         if offset < 0 or size < 0:
             raise StorageError(f"bad read range offset={offset} size={size}")
         segs = self.segments(offset, size)
@@ -322,11 +323,12 @@ class ShardedFile:
             data = b""
         elif len(segs) == 1:
             shard, off, n = segs[0]
-            data = self._shard_files[shard].read_at(off, n, count=count)
+            data = self._shard_files[shard].read_at(off, n, count=count,
+                                                    name=name)
         else:
             parts = self.disk.fan_out([
                 (lambda s=shard, o=off, n=n:
-                 self._shard_files[s].read_at(o, n, count=count))
+                 self._shard_files[s].read_at(o, n, count=count, name=name))
                 for shard, off, n in segs])
             data = b"".join(parts)
         if count:
@@ -336,20 +338,20 @@ class ShardedFile:
         return data
 
     def write_at(self, offset: int, data: bytes, count: bool = True,
-                 atomic: bool | None = None) -> None:
+                 atomic: bool | None = None, name: str | None = None) -> None:
         if offset < 0:
             raise StorageError(f"bad write offset {offset}")
         segs = self.segments(offset, len(data))
         if len(segs) == 1:
             shard, off, n = segs[0]
             self._shard_files[shard].write_at(off, data, count=count,
-                                              atomic=atomic)
+                                              atomic=atomic, name=name)
         elif segs:
             self.disk.fan_out([
                 (lambda s=shard, o=off, n=n:
                  self._shard_files[s].write_at(
                      o, data[o - offset:o - offset + n], count=count,
-                     atomic=atomic))
+                     atomic=atomic, name=name))
                 for shard, off, n in segs])
         if count:
             self.disk.stats.add(write_bytes=len(data), write_ops=1)

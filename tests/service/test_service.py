@@ -24,8 +24,11 @@ from repro import add_multiply_program, optimize, reference_outputs, run_program
 from repro.exceptions import (AdmissionRejected, AdmissionTimeout,
                               ServiceClosed, ServiceError, ServiceQueueFull,
                               StorageError)
+from repro.obs import trace as obs_trace
 from repro.service import ArrayService
-from repro.storage import FaultInjector, FaultPolicy
+from repro.storage import (DAFMatrix, DatasetCatalog, FaultInjector,
+                           FaultPolicy, RetryPolicy)
+from repro.storage import disk as storage_disk
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 CAP = 4 << 20  # generous per-job cap: every plan fits
@@ -306,13 +309,12 @@ class TestFaultToleranceComposition:
 class TestPrivateStoreLifetime:
     def test_successful_jobs_leave_no_private_stores(self, prog, best_plan,
                                                      tmp_path):
-        """Only the dataset catalog outlives a job: one fd (the store's
-        one file, checksums in its tail) per distinct input, no
-        ``<job>__*`` file."""
+        """Only the dataset catalog outlives a job: one fd (its one
+        file, holding all twelve datasets: A, B, D of four distinct
+        seeds), no ``<job>__*`` file."""
         def fds():
             return len(os.listdir("/proc/self/fd"))
 
-        datasets = 3 * 4  # A, B, D of four distinct seeds
         with ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
                           workers=2) as svc:
             before = fds()
@@ -321,7 +323,7 @@ class TestPrivateStoreLifetime:
                        for i in range(20)]
             for f in futures:
                 f.result(timeout=120)
-            assert fds() - before == datasets
+            assert fds() - before == 1
             left = [p.name for p in tmp_path.rglob("*") if "__" in p.name]
             assert left == []
 
@@ -384,6 +386,116 @@ class TestPrivateStoreLifetime:
         assert again.report.resumed_from > 0
         for name in clean.outputs:
             assert np.array_equal(again.outputs[name], clean.outputs[name])
+
+
+@pytest.fixture
+def ingest_dies_on_block_2(monkeypatch):
+    """Until undone, the second block a dataset ingest writes raises."""
+    real = DAFMatrix.write_block
+    written = []
+
+    def write_block(self, coords, block, count=True):
+        if self.name.startswith("ds_") and not count:
+            written.append(coords)
+            if len(written) == 2:
+                raise StorageError("injected: ingest dies on block 2")
+        real(self, coords, block, count=count)
+
+    monkeypatch.setattr(DAFMatrix, "write_block", write_block)
+    return monkeypatch
+
+
+class TestDatasetCatalog:
+    def test_job_dying_mid_ingest_leaves_no_dataset_behind(
+            self, prog, best_plan, tmp_path, ingest_dies_on_block_2):
+        inputs = _inputs(prog, 11)
+        expected = reference_outputs(prog, P, inputs)
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            with pytest.raises(StorageError, match="ingest dies"):
+                svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
+            ingest_dies_on_block_2.undo()
+            again = svc.run(prog, P, inputs, plan=best_plan,
+                            plan_exact=True)
+        assert np.allclose(again.outputs["E"], expected["E"])
+
+    def test_restarted_service_reingests_an_unsealed_dataset(
+            self, prog, best_plan, tmp_path, ingest_dies_on_block_2):
+        inputs = _inputs(prog, 12)
+        expected = reference_outputs(prog, P, inputs)
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            with pytest.raises(StorageError, match="ingest dies"):
+                svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
+        ingest_dies_on_block_2.undo()
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            again = svc.run(prog, P, inputs, plan=best_plan,
+                            plan_exact=True)
+        assert np.allclose(again.outputs["E"], expected["E"])
+
+    def test_restarted_service_finds_sealed_datasets(self, prog, best_plan,
+                                                     tmp_path, monkeypatch):
+        inputs = _inputs(prog, 13)
+        expected = reference_outputs(prog, P, inputs)
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
+        catalog = tmp_path / DatasetCatalog.FILE
+        size = catalog.stat().st_size
+        ingested = []
+        real = DAFMatrix.write_matrix
+
+        def write_matrix(self, matrix, count=False):
+            ingested.append(self.name)
+            real(self, matrix, count=count)
+
+        monkeypatch.setattr(DAFMatrix, "write_matrix", write_matrix)
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            again = svc.run(prog, P, inputs, plan=best_plan,
+                            plan_exact=True)
+        assert ingested == []
+        assert catalog.stat().st_size == size
+        assert np.allclose(again.outputs["E"], expected["E"])
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_dataset_reads_fault_and_trace_under_their_own_name(
+            self, prog, best_plan, tmp_path, shards):
+        inputs = _inputs(prog, 14)
+        expected = reference_outputs(prog, P, inputs)
+        injector = FaultInjector(seed=5, policies=[
+            FaultPolicy(match="ds_*.daf", op="read", corrupt=0.5,
+                        max_faults=3)])
+        tracer = obs_trace.Tracer()
+        with obs_trace.use(tracer), \
+                ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
+                             faults=injector, shards=shards,
+                             retry=RetryPolicy(backoff_base=0)) as svc:
+            r = svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
+        assert np.allclose(r.outputs["E"], expected["E"])
+        datasets = {ArrayService._dataset_name(inputs[n], prog.arrays[n])
+                    + ".daf" for n in inputs}
+        assert injector.trace
+        assert {f.name for f in injector.trace} <= datasets
+        read = {ev.args["file"] for ev in tracer.events
+                if ev.name == "disk.read"}
+        assert datasets <= read
+        assert not any(f.startswith("datasets") for f in read)
+
+    def test_pinned_job_creates_one_file(self, prog, best_plan, tmp_path,
+                                         monkeypatch):
+        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP) as svc:
+            svc.run(prog, P, _inputs(prog, 15), plan=best_plan,
+                    plan_exact=True)
+            created = []
+            real = storage_disk.DiskFile.__init__
+
+            def init(self, disk, path):
+                created.append(path.name)
+                real(self, disk, path)
+
+            monkeypatch.setattr(storage_disk.DiskFile, "__init__", init)
+            for seed in (16, 17):
+                svc.run(prog, P, _inputs(prog, seed), plan=best_plan,
+                        plan_exact=True, name=f"j{seed}")
+        assert created == ["j16__E.daf", "j17__E.daf"]
+        assert [p.name for p in tmp_path.iterdir()] == [DatasetCatalog.FILE]
 
 
 class TestPrefetch:

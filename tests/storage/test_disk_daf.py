@@ -1,4 +1,8 @@
-"""Unit tests for the simulated disk and the DAF store."""
+"""Unit tests for the simulated disk, the DAF store and the dataset
+catalog."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import CorruptBlockError, StorageError
 from repro.optimizer import IOModel
-from repro.storage import BlockLayout, DAFMatrix, SimulatedDisk
+from repro.storage import (BlockLayout, DAFMatrix, DatasetCatalog,
+                           SimulatedDisk, make_disk)
 
 
 class TestIOStats:
@@ -328,4 +333,126 @@ class TestPacedIO:
         t0 = time.perf_counter()
         f.write_at(0, b"x" * 1_000_000)
         assert time.perf_counter() - t0 < 0.5
+        disk.close()
+
+
+def _ingest(catalog, name, seed, grid=(2, 3), block=(4, 5)):
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal((grid[0] * block[0], grid[1] * block[1]))
+    return catalog.dataset(name, grid, block, np.float64, full), full
+
+
+class TestDatasetCatalog:
+    def test_datasets_share_one_file_and_read_back(self, tmp_path):
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            made = [_ingest(catalog, f"ds_{i}", i) for i in range(5)]
+            again, _ = _ingest(catalog, "ds_2", 99)
+            assert again is made[2][0]  # a hit ingests nothing
+            for store, full in made:
+                assert np.array_equal(store.read_matrix(count=False), full)
+            catalog.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [DatasetCatalog.FILE]
+
+    def test_an_unasked_catalog_creates_no_file(self, tmp_path):
+        with SimulatedDisk(tmp_path) as disk:
+            DatasetCatalog(disk).close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reopened_catalog_finds_sealed_datasets(self, tmp_path):
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            fulls = [_ingest(catalog, f"ds_{i}", i)[1] for i in range(3)]
+            catalog.close()
+        size = (tmp_path / DatasetCatalog.FILE).stat().st_size
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            for i, full in enumerate(fulls):
+                # A different matrix under a known name: not re-ingested.
+                store, _ = _ingest(catalog, f"ds_{i}", 100 + i)
+                assert np.array_equal(store.read_matrix(count=False), full)
+            catalog.close()
+        assert (tmp_path / DatasetCatalog.FILE).stat().st_size == size
+
+    def test_unsealed_extent_is_never_opened(self, tmp_path, monkeypatch):
+        real = DAFMatrix.write_block
+        calls = []
+
+        def dies_on_second_block(self, coords, block, count=True):
+            calls.append(coords)
+            if len(calls) == 2:
+                raise StorageError("injected: ingest dies")
+            real(self, coords, block, count=count)
+
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            sealed, sealed_full = _ingest(catalog, "ds_sealed", 0)
+            monkeypatch.setattr(DAFMatrix, "write_block",
+                                dies_on_second_block)
+            with pytest.raises(StorageError, match="ingest dies"):
+                _ingest(catalog, "ds_torn", 1)
+            monkeypatch.undo()
+            # The same catalog re-ingests rather than trusting the extent.
+            store, full = _ingest(catalog, "ds_torn", 1)
+            assert np.array_equal(store.read_matrix(count=False), full)
+            catalog.close()
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            monkeypatch.setattr(DAFMatrix, "write_block",
+                                dies_on_second_block)
+            calls.clear()
+            with pytest.raises(StorageError, match="ingest dies"):
+                _ingest(catalog, "ds_new", 2)
+            monkeypatch.undo()
+            catalog.close()
+        with SimulatedDisk(tmp_path) as disk:
+            catalog = DatasetCatalog(disk)
+            store, _ = _ingest(catalog, "ds_sealed", 5)
+            assert np.array_equal(store.read_matrix(count=False),
+                                  sealed_full)
+            # The restart cut the unsealed tail and ingests afresh.
+            store, full = _ingest(catalog, "ds_new", 2)
+            assert np.array_equal(store.read_matrix(count=False), full)
+            catalog.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_concurrent_ingests_never_overlap(self, tmp_path, shards):
+        """Four threads ingest the same eight datasets in different
+        orders: each is ingested once, into its own extent."""
+        disk = make_disk(tmp_path, shards, stripe_bytes=512)
+        catalog = DatasetCatalog(disk)
+        start = threading.Barrier(4)
+        seen = [[] for _ in range(4)]
+
+        def ingest(worker):
+            start.wait()
+            for i in np.random.default_rng(worker).permutation(8):
+                seen[worker].append(_ingest(catalog, f"ds_{i}", int(i),
+                                            grid=(1 + i % 3, 2),
+                                            block=(3, 4)))
+
+        threads = [threading.Thread(target=ingest, args=(w,))
+                   for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stores = {id(store): (store, full) for run in seen
+                  for store, full in run}
+        assert len(stores) == 8
+        extents = sorted((store.base, store.checksums.base
+                          + 8 * store.layout.num_blocks)
+                         for store, _ in stores.values())
+        for (_, end), (nxt, _) in zip(extents, extents[1:]):
+            assert end <= nxt
+        for store, full in stores.values():
+            assert np.array_equal(store.read_matrix(count=False), full)
+        catalog.close()
         disk.close()
