@@ -12,8 +12,7 @@ Public surface:
 * :class:`ConstraintCache` — memoized Farkas constraint spaces.
 """
 
-from .apriori import (AprioriStats, enumerate_feasible_sets,
-                      generate_level_candidates)
+from .apriori import AprioriStats, enumerate_feasible_sets
 from .constraints import CoefficientSpace, ConstraintCache, coaccess_key
 from .costing import (IOModel, PlanCost, PlanTrace, collect_events,
                       evaluate_plan, trace_plan)
@@ -39,7 +38,6 @@ __all__ = [
     "find_schedule",
     "enum_row",
     "enumerate_feasible_sets",
-    "generate_level_candidates",
     "AprioriStats",
     "ConstraintCache",
     "CoefficientSpace",

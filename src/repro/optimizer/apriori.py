@@ -1,4 +1,4 @@
-"""Apriori-like plan enumeration (Algorithm 2, Lemma 2).
+"""Apriori-like plan search (Algorithm 2, Lemma 2).
 
 If a set of sharing opportunities cannot be realized simultaneously, neither
 can any superset — so candidate sets are grown level-wise, a set of size k
@@ -6,31 +6,31 @@ being considered only when all its size-(k-1) subsets were feasible.  Each
 feasible candidate yields one legal schedule; the empty set (the original
 program order) is always included as Plan 0.
 
-Candidates within one level are mutually independent (level k+1 only needs
-level k's feasible sets), which is what the process-pool search in
-:mod:`repro.optimizer.parallel` exploits; the sequential walk here and the
-parallel one share :func:`generate_level_candidates` so both test the same
-candidates in the same deterministic order.
+:func:`search` is the one walk.  Where its legality tests and costings run
+is up to a *runner*: :class:`SerialRunner` runs them in this process, one
+candidate per chunk; :class:`~repro.optimizer.parallel.ParallelOptimizerPool`
+fans one level per chunk out to worker processes, since candidates within
+a level are mutually independent.  An optional static I/O lower bound
+(:class:`~repro.optimizer.costing.IOBound`) adds the Russian Doll incumbent
+cut to the same lattice.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..analysis import ProgramAnalysis, SharingOpportunity
 from ..ir import Schedule
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .constraints import ConstraintCache
-from .costing import (IOModel, elidable_write_bytes, evaluate_plan,
-                      io_lower_bound, opportunity_savings_seconds_bound)
+from .costing import IOBound, PlanCost
 from .find_schedule import find_schedule
-from .plan import Plan
 
-__all__ = ["enumerate_feasible_sets", "enumerate_and_cost_pruned",
-           "generate_level_candidates", "AprioriStats"]
+__all__ = ["search", "SerialRunner", "enumerate_feasible_sets",
+           "grow_greedy_maximal", "AprioriStats"]
 
 
 class AprioriStats(obs_metrics.StatFields):
@@ -38,17 +38,17 @@ class AprioriStats(obs_metrics.StatFields):
 
     Besides the aggregate counters, the search records per-level detail
     (``level_candidates``/``level_feasible``/``level_seconds``, keyed by set
-    size k) and — when the parallel search layer is used — worker-utilization
+    size k) and — when the search runs on a process pool — worker-utilization
     counters: ``workers`` (configured pool size), ``tasks_dispatched`` and
     ``worker_tasks`` (tasks executed per worker pid), so speedup and load
     balance are observable.
 
-    The bound-pruned search (:func:`enumerate_and_cost_pruned`) additionally
+    A bound-pruned search (:func:`search` with a ``bound``) additionally
     records ``cost_skips`` (feasible sets whose static I/O lower bound proved
     they could not beat the incumbent, so costing was skipped),
-    ``bound_exits`` (1 when the search terminated early because the incumbent
-    met the global static lower bound) and the ``io_lower_bound`` gauge (the
-    global bound itself, in seconds).
+    ``bound_exits`` (1 when the incumbent met the global static lower bound
+    while candidates were still untested, ending the search early) and the
+    ``io_lower_bound`` gauge (the global bound itself, in seconds).
     """
 
     _COUNTERS = ("candidates_tested", "feasible", "total_subsets",
@@ -78,9 +78,9 @@ class AprioriStats(obs_metrics.StatFields):
         if registry is not None:
             self.bind(registry, search=registry.seq("search"))
         # pool_restarts / sequential_fallbacks: crash recovery in the
-        # parallel layer — pools restarted after a BrokenProcessPool, and
-        # levels/costings that fell back to the driver when a restarted
-        # pool broke again.
+        # process pool — pools restarted after a BrokenProcessPool, and
+        # pools that fell back to the serial runner when a restarted pool
+        # broke again.
 
     @property
     def pruned_fraction(self) -> float:
@@ -90,15 +90,12 @@ class AprioriStats(obs_metrics.StatFields):
         return 1.0 - self.candidates_tested / self.total_subsets
 
     def record_level(self, k: int, candidates: int, feasible: int,
-                     seconds: float, generated: int | None = None,
-                     costed: int | None = None) -> None:
+                     seconds: float, generated: int, costed: int) -> None:
         self.level_candidates[k] = self.level_candidates.get(k, 0) + candidates
         self.level_feasible[k] = self.level_feasible.get(k, 0) + feasible
         self.level_seconds[k] = self.level_seconds.get(k, 0.0) + seconds
-        self.level_generated[k] = self.level_generated.get(k, 0) + (
-            candidates if generated is None else generated)
-        self.level_costed[k] = self.level_costed.get(k, 0) + (
-            feasible if costed is None else costed)
+        self.level_generated[k] = self.level_generated.get(k, 0) + generated
+        self.level_costed[k] = self.level_costed.get(k, 0) + costed
 
     def record_task(self, worker_id: int) -> None:
         self.tasks_dispatched += 1
@@ -111,9 +108,50 @@ class AprioriStats(obs_metrics.StatFields):
                 f"{self.seconds:.2f}s{par})")
 
 
-def generate_level_candidates(feasible_prev: Iterable[frozenset[int]],
-                              usable: Sequence[SharingOpportunity],
-                              k: int) -> list[frozenset[int]]:
+class SerialRunner:
+    """Runs the search's legality tests and costings in this process.
+
+    ``evaluate(schedule, realized)`` costs one plan (typically
+    :func:`~repro.optimizer.costing.evaluate_plan` with the program, the
+    parameters and the cost knobs bound); without it the runner only tests
+    legality, and every cost it returns is ``None``.  ``chunk = 1`` hands it
+    one candidate at a time, so a bound-pruned walk moves its incumbent
+    after every plan.
+    """
+
+    workers = 1
+    chunk = 1
+
+    def __init__(self, analysis: ProgramAnalysis,
+                 cache: ConstraintCache | None = None,
+                 evaluate: Callable[[Schedule, list[SharingOpportunity]],
+                                    PlanCost] | None = None):
+        self.analysis = analysis
+        self.cache = cache if cache is not None else \
+            ConstraintCache(analysis.program)
+        self.evaluate = evaluate
+        self._by_index = {o.index: o for o in analysis.opportunities}
+
+    def _realized(self, idx_set: Iterable[int]) -> list[SharingOpportunity]:
+        return [self._by_index[i] for i in sorted(idx_set)]
+
+    def test(self, candidates: Sequence[frozenset[int]],
+             stats: AprioriStats | None = None) -> list[Schedule | None]:
+        a = self.analysis
+        return [find_schedule(a.program, self.cache, self._realized(c),
+                              a.dependences) for c in candidates]
+
+    def cost(self, items: Sequence[tuple[frozenset[int], Schedule]],
+             stats: AprioriStats | None = None) -> list[PlanCost | None]:
+        if self.evaluate is None:
+            return [None] * len(items)
+        return [self.evaluate(schedule, self._realized(idx_set))
+                for idx_set, schedule in items]
+
+
+def _level_candidates(feasible_prev: Iterable[frozenset[int]],
+                      usable: Sequence[SharingOpportunity],
+                      k: int) -> list[frozenset[int]]:
     """Level-k candidate sets in the search's canonical (sorted) order.
 
     A size-k set is a candidate iff every size-(k-1) subset was feasible
@@ -134,314 +172,182 @@ def generate_level_candidates(feasible_prev: Iterable[frozenset[int]],
     return sorted(candidates, key=sorted)
 
 
+def search(analysis: ProgramAnalysis, runner, *,
+           max_set_size: int | None = None,
+           max_candidates: int | None = None,
+           bound: IOBound | None = None,
+           memory_cap_bytes: int | None = None,
+           include_greedy_maximal: bool = True
+           ) -> tuple[list[tuple[frozenset[int], Schedule, PlanCost | None]],
+                      AprioriStats]:
+    """Algorithm 2 on ``runner``: ``([(set, schedule, cost), ...], stats)``.
+
+    Plan 0 (the empty set, the program's original schedule) comes first;
+    every feasible set follows in test order.  Opportunities that failed
+    multiplicity reduction are excluded (sound).  Each level is handed to
+    the runner in chunks of ``runner.chunk`` candidates (``None``: the whole
+    level).  Before each chunk the walk checks the bound exit and the
+    candidate budget; it then has the runner legality-test the chunk and
+    cost the feasible sets, and updates the incumbent.
+
+    ``max_set_size`` / ``max_candidates`` bound the walk (programs whose
+    opportunities are almost all mutually compatible have an exponentially
+    feasible lattice).  The candidate budget applies at every level, and
+    every budget-bounded exit sets ``stats.truncated``.  When the walk is
+    truncated and ``include_greedy_maximal`` is set, one extra plan is
+    added: a maximal feasible set grown greedily — the paper's own suggested
+    remedy of combining enumeration with costing to terminate search early.
+
+    With a ``bound`` the search is Russian-Doll style: smaller sets are
+    solved first (the level-wise order guarantees it), and the cheapest plan
+    fitting ``memory_cap_bytes`` so far (the incumbent) bounds what follows.
+
+    * A feasible set whose static lower bound cannot beat the incumbent is
+      not costed (``stats.cost_skips``).  Its legality is still tested,
+      because a *superset* may save more.
+    * Once the incumbent meets the global lower bound (all usable
+      opportunities' savings), nothing untested can beat it and the walk
+      stops (``stats.bound_exits``).
+
+    Both cuts are exact with respect to the chosen plan: a skipped
+    candidate can at best *tie* the incumbent, and
+    :meth:`OptimizationResult.best` breaks ties toward the earlier plan
+    index, which the incumbent holds.  Hence the best plan and its cost are
+    bit-identical to the exhaustive search's, but the plan *list* only
+    covers candidates that could have been optimal under
+    ``memory_cap_bytes``.
+    """
+    usable = [o for o in analysis.opportunities if o.reduced]
+    stats = AprioriStats()
+    stats.workers = runner.workers
+    stats.total_subsets = 2 ** len(usable) - 1
+    t0 = time.perf_counter()
+
+    found: list[tuple[frozenset[int], Schedule, PlanCost | None]] = []
+    seen: set[frozenset[int]] = {frozenset()}
+    best: PlanCost | None = None
+    done = False
+
+    def cost(items: list[tuple[frozenset[int], Schedule]]) -> None:
+        nonlocal best
+        for (idx_set, schedule), c in zip(items, runner.cost(items, stats)):
+            found.append((idx_set, schedule, c))
+            if c is None:
+                continue
+            obs_trace.instant("opt.plan_cost", "optimizer",
+                              plan=len(found) - 1, read_bytes=c.read_bytes,
+                              write_bytes=c.write_bytes,
+                              io_seconds=c.io_seconds,
+                              memory_bytes=c.memory_bytes)
+            if ((memory_cap_bytes is None
+                 or c.memory_bytes <= memory_cap_bytes)
+                    and (best is None or c.io_seconds < best.io_seconds)):
+                best = c
+
+    # Plan 0's cost carries the un-shared, un-elided baseline byte volumes
+    # every bound starts from.
+    cost([(frozenset(), analysis.schedule)])
+    if bound is not None:
+        baseline = found[0][2]
+        stats.io_lower_bound = floor = bound(baseline)
+
+    def run_level(k: int, level: list[frozenset[int]]) -> set[frozenset[int]]:
+        """Test and cost one level, chunk by chunk; its feasible sets."""
+        nonlocal done
+        t_level = time.perf_counter()
+        tested0, feasible0, costed0 = \
+            stats.candidates_tested, stats.feasible, len(found)
+        feasible_now: set[frozenset[int]] = set()
+        step = runner.chunk or len(level) or 1
+        with obs_trace.span("apriori.level", "optimizer", k=k,
+                            candidates=len(level)) as sp:
+            for i in range(0, len(level), step):
+                if (bound is not None and best is not None
+                        and best.io_seconds <= floor):
+                    stats.bound_exits += 1
+                    done = True
+                    break
+                chunk = level[i:i + step]
+                if max_candidates is not None:
+                    room = max_candidates - stats.candidates_tested
+                    if room < len(chunk):
+                        stats.truncated = True
+                        chunk = chunk[:max(room, 0)]
+                to_cost = []
+                for cand, sched in zip(chunk, runner.test(chunk, stats)
+                                       if chunk else ()):
+                    stats.candidates_tested += 1
+                    obs_trace.instant("opt.solve", "optimizer",
+                                      set=sorted(cand),
+                                      feasible=sched is not None)
+                    if sched is None:
+                        continue
+                    stats.feasible += 1
+                    feasible_now.add(cand)
+                    seen.add(cand)
+                    if (bound is not None and best is not None
+                            and bound(baseline, cand) >= best.io_seconds):
+                        stats.cost_skips += 1
+                    else:
+                        to_cost.append((cand, sched))
+                if to_cost:
+                    cost(to_cost)
+                if stats.truncated:
+                    break
+            sp["tested"] = stats.candidates_tested - tested0
+            sp["feasible"] = stats.feasible - feasible0
+        stats.record_level(k, stats.candidates_tested - tested0,
+                           stats.feasible - feasible0,
+                           time.perf_counter() - t_level,
+                           generated=len(level), costed=len(found) - costed0)
+        return feasible_now
+
+    k = 1
+    feasible_prev = run_level(1, [frozenset([o.index]) for o in usable])
+    singletons = [o for o in usable if frozenset([o.index]) in feasible_prev]
+    while (not done and feasible_prev and k < len(usable)
+           and (max_set_size is None or k < max_set_size)):
+        level = _level_candidates(feasible_prev, usable, k + 1)
+        if not level:
+            break
+        if max_candidates is not None and \
+                stats.candidates_tested >= max_candidates:
+            stats.truncated = True  # candidates remain, the budget is spent
+            break
+        k += 1
+        feasible_prev = run_level(k, level)
+    if not done and feasible_prev and k == max_set_size:
+        stats.truncated = True  # the level above was never generated
+
+    if stats.truncated and include_greedy_maximal and not done:
+        # Always costed, never bound-skipped: it also serves as the
+        # memory-pressure fallback plan.
+        grown = grow_greedy_maximal(analysis, runner.cache, singletons, stats)
+        if grown is not None and grown[0] not in seen:
+            cost([grown])
+            stats.feasible += 1
+
+    stats.seconds = time.perf_counter() - t0
+    return found, stats
+
+
 def enumerate_feasible_sets(analysis: ProgramAnalysis,
                             cache: ConstraintCache | None = None,
                             max_set_size: int | None = None,
                             max_candidates: int | None = None,
                             include_greedy_maximal: bool = True
                             ) -> tuple[list[tuple[frozenset[int], Schedule]], AprioriStats]:
-    """All feasible sharing-opportunity sets with a schedule for each.
+    """All feasible sharing-opportunity sets with a schedule for each:
+    :func:`search` on a serial runner that does not cost.
 
-    Opportunities that failed multiplicity reduction are excluded (sound).
     Returns ``([(opportunity-index-set, schedule), ...], stats)``; the empty
     set maps to the program's original schedule.
-
-    ``max_set_size`` / ``max_candidates`` bound the level-wise enumeration
-    (programs whose opportunities are almost all mutually compatible have an
-    exponentially feasible lattice).  The candidate budget is enforced at
-    every level — including level 1 — and **every** budget-bounded exit sets
-    ``stats.truncated``.  When the enumeration is truncated and
-    ``include_greedy_maximal`` is set, one extra plan is added: a maximal
-    feasible set grown greedily — the paper's own suggested remedy of
-    combining enumeration with costing to terminate search early.
     """
-    program = analysis.program
-    if cache is None:
-        cache = ConstraintCache(program)
-    usable = [o for o in analysis.opportunities if o.reduced]
-    by_index = {o.index: o for o in usable}
-    stats = AprioriStats()
-    stats.total_subsets = 2 ** len(usable) - 1
-    t0 = time.perf_counter()
-
-    results: list[tuple[frozenset[int], Schedule]] = [
-        (frozenset(), analysis.schedule)]
-    feasible_prev: set[frozenset[int]] = set()
-
-    def budget_left() -> bool:
-        return max_candidates is None or stats.candidates_tested < max_candidates
-
-    # Level 1.  The budget applies here too: an untested singleton is an
-    # untested candidate, so running out must mark the search truncated.
-    t_level = time.perf_counter()
-    feasible_singletons: list = []
-    with obs_trace.span("apriori.level", "optimizer", k=1) as sp:
-        for o in usable:
-            if not budget_left():
-                stats.truncated = True
-                break
-            stats.candidates_tested += 1
-            sched = find_schedule(program, cache, [o], analysis.dependences)
-            obs_trace.instant("opt.solve", "optimizer", set=[o.index],
-                              feasible=sched is not None)
-            if sched is not None:
-                key = frozenset([o.index])
-                feasible_prev.add(key)
-                results.append((key, sched))
-                feasible_singletons.append(o)
-                stats.feasible += 1
-        sp["candidates"] = stats.candidates_tested
-        sp["feasible"] = stats.feasible
-    stats.record_level(1, stats.candidates_tested, stats.feasible,
-                       time.perf_counter() - t_level, generated=len(usable))
-
-    k = 2
-    while (feasible_prev and (max_set_size is None or k <= max_set_size)
-           and k <= len(usable)):
-        candidates = generate_level_candidates(feasible_prev, usable, k)
-        if not candidates:
-            break
-        if not budget_left():
-            # Candidates remain but the budget is spent: this exit is a
-            # truncation just like the mid-level one below.
-            stats.truncated = True
-            break
-        t_level = time.perf_counter()
-        tested_before, feasible_before = stats.candidates_tested, stats.feasible
-        feasible_now: set[frozenset[int]] = set()
-        with obs_trace.span("apriori.level", "optimizer", k=k,
-                            candidates=len(candidates)) as sp:
-            for cand in candidates:
-                if not budget_left():
-                    stats.truncated = True
-                    break
-                stats.candidates_tested += 1
-                opps = [by_index[i] for i in sorted(cand)]
-                sched = find_schedule(program, cache, opps, analysis.dependences)
-                obs_trace.instant("opt.solve", "optimizer", set=sorted(cand),
-                                  feasible=sched is not None)
-                if sched is not None:
-                    feasible_now.add(cand)
-                    results.append((cand, sched))
-                    stats.feasible += 1
-            sp["tested"] = stats.candidates_tested - tested_before
-            sp["feasible"] = stats.feasible - feasible_before
-        stats.record_level(k, stats.candidates_tested - tested_before,
-                           stats.feasible - feasible_before,
-                           time.perf_counter() - t_level,
-                           generated=len(candidates))
-        feasible_prev = feasible_now
-        k += 1
-    if feasible_prev and max_set_size is not None and k > max_set_size:
-        stats.truncated = stats.truncated or any(
-            len(s) == max_set_size for s in feasible_prev)
-
-    if stats.truncated and include_greedy_maximal:
-        seen = {key for key, _ in results}
-        grown = grow_greedy_maximal(analysis, cache, feasible_singletons, stats)
-        if grown is not None and grown[0] not in seen:
-            results.append(grown)
-            stats.feasible += 1
-
-    stats.seconds = time.perf_counter() - t0
-    return results, stats
-
-
-def enumerate_and_cost_pruned(analysis: ProgramAnalysis,
-                              cache: ConstraintCache | None,
-                              params: Mapping[str, int],
-                              io_model: IOModel,
-                              *,
-                              memory_cap_bytes: int | None = None,
-                              max_set_size: int | None = None,
-                              max_candidates: int | None = None,
-                              dead_write_elimination: bool = True,
-                              block_bytes: Mapping[str, int] | None = None,
-                              include_greedy_maximal: bool = True
-                              ) -> tuple[list[Plan], AprioriStats]:
-    """Bound-pruned Apriori search: enumeration interleaved with costing.
-
-    Russian-Doll style: nested subproblems (smaller candidate sets) are
-    solved first — level-wise order guarantees it — and the best *fitting*
-    plan found so far (the incumbent) becomes the bound for everything that
-    follows.  Two static lower bounds drive the pruning:
-
-    * **per-candidate**: a plan realizing set ``S`` can save at most
-      ``sum_{o in S} opportunity_savings_seconds_bound(o)`` over baseline
-      (plus every elidable intermediate write), so when that optimistic
-      bound cannot beat the incumbent, the candidate's costing is skipped
-      (``stats.cost_skips``) — its legality is still tested, because a
-      *superset* may save more (bounds shrink as sets grow);
-    * **global**: once the incumbent's cost meets the lower bound computed
-      with *all* usable opportunities' savings, nothing unexplored can beat
-      it and the whole search stops (``stats.bound_exits``).
-
-    Both prunings are exact with respect to the chosen plan: a skipped
-    candidate can at best *tie* the incumbent, and
-    :meth:`OptimizationResult.best` breaks ties toward the earlier plan
-    index, which the incumbent holds.  Hence the returned best plan and its
-    cost are bit-identical to the exhaustive search's — but the plan *list*
-    only covers candidates that could have been optimal under
-    ``memory_cap_bytes``; querying ``best()`` with a different cap is only
-    supported on the exhaustive result.
-    """
-    program = analysis.program
-    if cache is None:
-        cache = ConstraintCache(program)
-    usable = [o for o in analysis.opportunities if o.reduced]
-    by_index = {o.index: o for o in analysis.opportunities}
-    stats = AprioriStats()
-    stats.total_subsets = 2 ** len(usable) - 1
-    t0 = time.perf_counter()
-
-    plans: list[Plan] = []
-    best: Plan | None = None
-
-    def cost_plan(idx_set: frozenset[int], schedule: Schedule) -> Plan:
-        nonlocal best
-        realized = [by_index[i] for i in sorted(idx_set)]
-        cost = evaluate_plan(program, params, schedule, realized, io_model,
-                             dead_write_elimination=dead_write_elimination,
-                             block_bytes=block_bytes)
-        plan = Plan(len(plans), schedule, realized, cost)
-        plans.append(plan)
-        obs_trace.instant("opt.plan_cost", "optimizer", plan=plan.index,
-                          read_bytes=cost.read_bytes,
-                          write_bytes=cost.write_bytes,
-                          io_seconds=cost.io_seconds,
-                          memory_bytes=cost.memory_bytes)
-        if plan.fits(memory_cap_bytes) and (
-                best is None or cost.io_seconds < best.cost.io_seconds):
-            best = plan
-        return plan
-
-    # Plan 0 (original order) doubles as the baseline-byte oracle: its cost
-    # carries the un-shared, un-elided baseline read/write volumes.
-    p0 = cost_plan(frozenset(), analysis.schedule)
-    base_reads = p0.cost.baseline_read_bytes
-    base_writes = p0.cost.baseline_write_bytes
-    # With dead-write elimination off, no writes can be elided, so the
-    # tighter (larger) bound with elidable = 0 is the correct one.
-    elidable = (elidable_write_bytes(program, params, block_bytes)
-                if dead_write_elimination else 0)
-    savings_ub = {o.index: opportunity_savings_seconds_bound(
-        o, params, io_model, block_bytes) for o in usable}
-    global_lb = io_lower_bound(base_reads, base_writes,
-                               sum(savings_ub.values()), elidable, io_model)
-    stats.io_lower_bound = global_lb
-
-    def candidate_lb(idx_set: frozenset[int]) -> float:
-        return io_lower_bound(base_reads, base_writes,
-                              sum(savings_ub[i] for i in idx_set),
-                              elidable, io_model)
-
-    def bound_met() -> bool:
-        return best is not None and best.cost.io_seconds <= global_lb
-
-    def budget_left() -> bool:
-        return max_candidates is None or stats.candidates_tested < max_candidates
-
-    seen_feasible: set[frozenset[int]] = {frozenset()}
-
-    def consider(idx_set: frozenset[int], schedule: Schedule) -> None:
-        stats.feasible += 1
-        seen_feasible.add(idx_set)
-        if best is not None and candidate_lb(idx_set) >= best.cost.io_seconds:
-            stats.cost_skips += 1
-        else:
-            cost_plan(idx_set, schedule)
-
-    feasible_prev: set[frozenset[int]] = set()
-    feasible_singletons: list[SharingOpportunity] = []
-    done = False
-
-    # Level 1 (same canonical order and budget semantics as the exhaustive
-    # walk, plus the two bound checks).
-    t_level = time.perf_counter()
-    plans_before = len(plans)
-    with obs_trace.span("apriori.level", "optimizer", k=1) as sp:
-        for o in usable:
-            if bound_met():
-                stats.bound_exits += 1
-                done = True
-                break
-            if not budget_left():
-                stats.truncated = True
-                break
-            stats.candidates_tested += 1
-            sched = find_schedule(program, cache, [o], analysis.dependences)
-            obs_trace.instant("opt.solve", "optimizer", set=[o.index],
-                              feasible=sched is not None)
-            if sched is not None:
-                key = frozenset([o.index])
-                feasible_prev.add(key)
-                feasible_singletons.append(o)
-                consider(key, sched)
-        sp["candidates"] = stats.candidates_tested
-        sp["feasible"] = stats.feasible
-    stats.record_level(1, stats.candidates_tested, stats.feasible,
-                       time.perf_counter() - t_level, generated=len(usable),
-                       costed=len(plans) - plans_before)
-
-    k = 2
-    while (not done and feasible_prev
-           and (max_set_size is None or k <= max_set_size)
-           and k <= len(usable)):
-        candidates = generate_level_candidates(feasible_prev, usable, k)
-        if not candidates:
-            break
-        if not budget_left():
-            stats.truncated = True
-            break
-        t_level = time.perf_counter()
-        tested_before, feasible_before = stats.candidates_tested, stats.feasible
-        plans_before = len(plans)
-        feasible_now: set[frozenset[int]] = set()
-        with obs_trace.span("apriori.level", "optimizer", k=k,
-                            candidates=len(candidates)) as sp:
-            for cand in candidates:
-                if bound_met():
-                    stats.bound_exits += 1
-                    done = True
-                    break
-                if not budget_left():
-                    stats.truncated = True
-                    break
-                stats.candidates_tested += 1
-                opps = [by_index[i] for i in sorted(cand)]
-                sched = find_schedule(program, cache, opps,
-                                      analysis.dependences)
-                obs_trace.instant("opt.solve", "optimizer", set=sorted(cand),
-                                  feasible=sched is not None)
-                if sched is not None:
-                    feasible_now.add(cand)
-                    consider(cand, sched)
-            sp["tested"] = stats.candidates_tested - tested_before
-            sp["feasible"] = stats.feasible - feasible_before
-        stats.record_level(k, stats.candidates_tested - tested_before,
-                           stats.feasible - feasible_before,
-                           time.perf_counter() - t_level,
-                           generated=len(candidates),
-                           costed=len(plans) - plans_before)
-        feasible_prev = feasible_now
-        k += 1
-    if (not done and feasible_prev and max_set_size is not None
-            and k > max_set_size):
-        stats.truncated = stats.truncated or any(
-            len(s) == max_set_size for s in feasible_prev)
-
-    if stats.truncated and include_greedy_maximal and not done:
-        # A truncated search may have missed the best set entirely; the
-        # greedy-maximal completion is always costed (never bound-skipped)
-        # because it also serves as the memory-pressure fallback plan.
-        grown = grow_greedy_maximal(analysis, cache, feasible_singletons,
-                                    stats)
-        if grown is not None and grown[0] not in seen_feasible:
-            cost_plan(grown[0], grown[1])
-            stats.feasible += 1
-
-    stats.seconds = time.perf_counter() - t0
-    return plans, stats
+    found, stats = search(analysis, SerialRunner(analysis, cache),
+                          max_set_size=max_set_size,
+                          max_candidates=max_candidates,
+                          include_greedy_maximal=include_greedy_maximal)
+    return [(idx_set, schedule) for idx_set, schedule, _ in found], stats
 
 
 def grow_greedy_maximal(analysis: ProgramAnalysis, cache: ConstraintCache,

@@ -35,7 +35,7 @@ from ..analysis import SharingOpportunity
 from ..ir import Access, ArrayKind, Program, Schedule, StatementEvents
 
 __all__ = ["IOModel", "PlanCost", "PlanTrace", "evaluate_plan", "trace_plan",
-           "collect_events", "ScheduledEvent"]
+           "collect_events", "ScheduledEvent", "IOBound"]
 
 MB = 1_000_000
 _NP_SAFE = 1 << 62  # int64 headroom for the time-vector product
@@ -466,3 +466,36 @@ def io_lower_bound(baseline_read_bytes: int, baseline_write_bytes: int,
     base = io_model.seconds(baseline_read_bytes, baseline_write_bytes)
     lb = base - savings_seconds_bound - elidable_bytes / io_model.write_bw
     return lb if lb > 0.0 else 0.0
+
+
+class IOBound:
+    """The bound-pruned search's static lower bounds, for one program and
+    parameter binding.
+
+    ``bound(baseline, S)`` bounds from below the I/O seconds of any plan
+    realizing the opportunity-index set ``S``, given the cost of the
+    original-order plan (whose baseline byte volumes it starts from);
+    ``bound(baseline)`` is the global bound over every usable opportunity,
+    below which no plan at all can go.
+    """
+
+    def __init__(self, program: Program, params: Mapping[str, int],
+                 io_model: IOModel,
+                 opportunities: Sequence[SharingOpportunity],
+                 dead_write_elimination: bool = True,
+                 block_bytes: Mapping[str, int] | None = None):
+        self.io_model = io_model
+        self.savings = {o.index: opportunity_savings_seconds_bound(
+            o, params, io_model, block_bytes) for o in opportunities
+            if o.reduced}
+        # With dead-write elimination off no write can be elided, so the
+        # tighter (larger) bound with nothing elidable is the correct one.
+        self.elidable = (elidable_write_bytes(program, params, block_bytes)
+                         if dead_write_elimination else 0)
+
+    def __call__(self, baseline: PlanCost, idx_set=None) -> float:
+        realized = self.savings if idx_set is None else idx_set
+        return io_lower_bound(baseline.baseline_read_bytes,
+                              baseline.baseline_write_bytes,
+                              sum(self.savings[i] for i in realized),
+                              self.elidable, self.io_model)

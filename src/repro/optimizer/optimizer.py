@@ -11,6 +11,8 @@
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
+from functools import partial
 from typing import Mapping, Sequence
 
 from ..analysis import ProgramAnalysis, analyze
@@ -19,10 +21,9 @@ from ..ir import Program
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..polyhedral import lp_memo
-from .apriori import (AprioriStats, enumerate_and_cost_pruned,
-                      enumerate_feasible_sets)
-from .constraints import ConstraintCache
-from .costing import IOModel, evaluate_plan
+from .apriori import AprioriStats, SerialRunner, search
+from .costing import IOBound, IOModel, evaluate_plan
+from .parallel import ParallelOptimizerPool
 from .plan import Plan
 
 __all__ = ["OptimizationResult", "optimize", "Optimizer"]
@@ -100,23 +101,24 @@ class Optimizer:
                  prune: bool = False) -> OptimizationResult:
         """Run the pipeline.
 
-        ``workers`` selects the search execution layer: ``None`` or ``1``
-        runs the sequential path; ``N >= 2`` fans the Apriori legality tests
-        and the per-plan costing out to a process pool
-        (:mod:`repro.optimizer.parallel`).  Both layers return identical
-        plans in identical order — parallelism changes wall time only.
+        ``workers`` selects the runner of the one level-wise search
+        (:func:`repro.optimizer.apriori.search`): ``None`` or ``1`` runs it
+        in this process; ``N >= 2`` fans each level's legality tests and
+        costings out to a process pool (:mod:`repro.optimizer.parallel`).
+        Both runners return identical plans in identical order —
+        parallelism changes wall time only.
 
-        ``prune`` interleaves costing with enumeration and applies static
-        I/O lower bounds (:func:`repro.optimizer.apriori
-        .enumerate_and_cost_pruned`): feasible sets that provably cannot
-        beat the incumbent are never costed, and the search stops outright
-        once the incumbent meets the global bound.  ``result.best()`` for
-        the *same* ``memory_cap_bytes`` is bit-identical to the exhaustive
-        search's, in every execution layer; the full plan list is not
-        materialized, so leave ``prune`` off when the result is queried
-        with other caps or mined for alternatives.  Pruning does not affect
-        the chosen plan, so it is deliberately not part of the plan-cache
-        fingerprint: pruned and exhaustive runs share cache entries.
+        ``prune`` passes the search a static I/O lower bound
+        (:class:`repro.optimizer.costing.IOBound`): feasible sets that
+        provably cannot beat the incumbent are never costed, and the search
+        stops outright once the incumbent meets the global bound.
+        ``result.best()`` for the *same* ``memory_cap_bytes`` is
+        bit-identical to the exhaustive search's, on either runner; the
+        full plan list is not materialized, so leave ``prune`` off when the
+        result is queried with other caps or mined for alternatives.
+        Pruning does not affect the chosen plan, so it is deliberately not
+        part of the plan-cache fingerprint: pruned and exhaustive runs share
+        cache entries.
 
         ``plan_cache`` (any object with the
         :class:`repro.service.PlanCache` ``fingerprint``/``lookup``/
@@ -133,9 +135,10 @@ class Optimizer:
         if workers is not None and workers < 1:
             raise OptimizationError(f"workers must be >= 1, got {workers}")
         t0 = time.perf_counter()
+        cost_knobs = dict(dead_write_elimination=self.dead_write_elimination,
+                          block_bytes=block_bytes)
         knobs = dict(max_set_size=max_set_size, max_candidates=max_candidates,
-                     dead_write_elimination=self.dead_write_elimination,
-                     block_bytes=block_bytes)
+                     **cost_knobs)
         fingerprint = None
         with obs_trace.span("optimize", "optimizer", program=self.program.name,
                             workers=workers or 1) as top, lp_memo():
@@ -162,56 +165,26 @@ class Optimizer:
             with obs_trace.span("optimize.analyze", "optimizer") as sp:
                 analysis = analyze(self.program, param_values=params)
                 sp["opportunities"] = len(analysis.opportunities)
+            evaluate = partial(evaluate_plan, self.program, dict(params),
+                               io_model=self.io_model, **cost_knobs)
             if workers is not None and workers > 1:
-                from .parallel import ParallelOptimizerPool
-                with ParallelOptimizerPool(
-                        analysis, params, self.io_model, workers,
-                        dead_write_elimination=self.dead_write_elimination,
-                        block_bytes=block_bytes) as pool:
-                    if prune:
-                        with obs_trace.span("optimize.search", "optimizer"):
-                            plans, stats = pool.enumerate_and_cost_pruned(
-                                memory_cap_bytes, max_set_size,
-                                max_candidates)
-                    else:
-                        with obs_trace.span("optimize.enumerate", "optimizer"):
-                            feasible, stats = pool.enumerate_feasible_sets(
-                                max_set_size, max_candidates)
-                        with obs_trace.span("optimize.cost", "optimizer"):
-                            plans = pool.cost_plans(feasible, stats)
-            elif prune:
-                cache = ConstraintCache(self.program)
-                with obs_trace.span("optimize.search", "optimizer"):
-                    plans, stats = enumerate_and_cost_pruned(
-                        analysis, cache, params, self.io_model,
-                        memory_cap_bytes=memory_cap_bytes,
-                        max_set_size=max_set_size,
-                        max_candidates=max_candidates,
-                        dead_write_elimination=self.dead_write_elimination,
-                        block_bytes=block_bytes)
+                scope = ParallelOptimizerPool(analysis, evaluate, workers)
             else:
-                cache = ConstraintCache(self.program)
-                with obs_trace.span("optimize.enumerate", "optimizer"):
-                    feasible, stats = enumerate_feasible_sets(analysis, cache,
-                                                              max_set_size,
-                                                              max_candidates)
-                by_index = {o.index: o for o in analysis.opportunities}
-                plans = []
-                with obs_trace.span("optimize.cost", "optimizer"):
-                    for plan_id, (idx_set, schedule) in enumerate(feasible):
-                        realized = [by_index[i] for i in sorted(idx_set)]
-                        cost = evaluate_plan(
-                            self.program, params, schedule, realized,
-                            self.io_model,
-                            dead_write_elimination=self.dead_write_elimination,
-                            block_bytes=block_bytes)
-                        plans.append(Plan(plan_id, schedule, realized, cost))
-                        obs_trace.instant(
-                            "opt.plan_cost", "optimizer", plan=plan_id,
-                            read_bytes=cost.read_bytes,
-                            write_bytes=cost.write_bytes,
-                            io_seconds=cost.io_seconds,
-                            memory_bytes=cost.memory_bytes)
+                scope = nullcontext(SerialRunner(analysis, evaluate=evaluate))
+            with scope as runner, \
+                    obs_trace.span("optimize.search", "optimizer"):
+                bound = IOBound(self.program, params, self.io_model,
+                                analysis.opportunities,
+                                **cost_knobs) if prune else None
+                found, stats = search(analysis, runner,
+                                      max_set_size=max_set_size,
+                                      max_candidates=max_candidates,
+                                      bound=bound,
+                                      memory_cap_bytes=memory_cap_bytes)
+            by_index = {o.index: o for o in analysis.opportunities}
+            plans = [Plan(i, schedule, [by_index[j] for j in sorted(idx_set)],
+                          cost)
+                     for i, (idx_set, schedule, cost) in enumerate(found)]
             top["plans"] = len(plans)
             top["tested"] = stats.candidates_tested
         registry = obs_metrics.CURRENT
