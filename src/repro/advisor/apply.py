@@ -1,10 +1,10 @@
 """Applying recommendations: config rewriting, workload runs, validation.
 
 :class:`AdvisorConfig` bundles everything a re-run needs — the expanded job
-list plus the service knobs (memory cap, prefetch depth, per-array store
-formats).  :func:`apply_recommendations` is a *pure* rewrite: it folds a
-recommendation set's actions into a new config without touching the old
-one, so baseline and candidate configs coexist.  Action composition order
+list plus the service knobs (memory cap, prefetch depth).
+:func:`apply_recommendations` is a *pure* rewrite: it folds a recommendation
+set's actions into a new config without touching the old one, so baseline
+and candidate configs coexist.  Action composition order
 is fixed (geometry rescales first, then materialization splits, then
 service-knob changes): materialization re-splits the possibly-rescaled
 programs at apply time, so a geometry + materialization set composes
@@ -47,13 +47,11 @@ __all__ = ["AdvisorConfig", "apply_recommendations", "run_workload",
 class AdvisorConfig:
     """A fully expanded, runnable workload + service configuration."""
 
-    __slots__ = ("jobs", "memory_cap_bytes", "prefetch_depth",
-                 "store_format", "io_model", "max_set_size",
-                 "max_candidates", "workers", "plan_cache")
+    __slots__ = ("jobs", "memory_cap_bytes", "prefetch_depth", "io_model",
+                 "max_set_size", "max_candidates", "workers", "plan_cache")
 
     def __init__(self, jobs: Iterable[JobSpec], memory_cap_bytes: int,
                  prefetch_depth: int = 0,
-                 store_format: Mapping[str, str] | None = None,
                  io_model: IOModel | None = None,
                  max_set_size: int | None = None,
                  max_candidates: int | None = None, workers: int = 2,
@@ -61,7 +59,6 @@ class AdvisorConfig:
         self.jobs = list(jobs)
         self.memory_cap_bytes = int(memory_cap_bytes)
         self.prefetch_depth = int(prefetch_depth)
-        self.store_format = dict(store_format or {"default": "daf"})
         self.io_model = io_model or IOModel()
         self.max_set_size = max_set_size
         self.max_candidates = max_candidates
@@ -85,14 +82,12 @@ class AdvisorConfig:
     def describe(self) -> dict:
         return {"jobs": len(self.jobs),
                 "memory_cap_bytes": self.memory_cap_bytes,
-                "prefetch_depth": self.prefetch_depth,
-                "store_format": dict(self.store_format)}
+                "prefetch_depth": self.prefetch_depth}
 
     def __repr__(self) -> str:
         return (f"AdvisorConfig({len(self.jobs)} jobs, "
                 f"cap={self.memory_cap_bytes}, "
-                f"prefetch={self.prefetch_depth}, "
-                f"formats={self.store_format})")
+                f"prefetch={self.prefetch_depth})")
 
 
 # -- action application --------------------------------------------------------
@@ -157,9 +152,6 @@ def apply_recommendations(config: AdvisorConfig,
                     program_obj=residual, args={},
                     inputs_from={**job.inputs_from, array: producer_name})
 
-    for act in (a for a in actions if a["type"] == "store_format"):
-        out.store_format = {**out.store_format,
-                            act.get("array", "default"): act["format"]}
     for act in (a for a in actions if a["type"] == "memory_cap"):
         out.memory_cap_bytes = int(act["bytes"])
     for act in (a for a in actions if a["type"] == "prefetch_depth"):
@@ -207,8 +199,7 @@ def run_workload(config: AdvisorConfig, workdir: str | os.PathLike,
                           plan_cache=config.plan_cache,
                           max_set_size=config.max_set_size,
                           max_candidates=config.max_candidates,
-                          prefetch_depth=config.prefetch_depth,
-                          store_format=config.store_format) as svc:
+                          prefetch_depth=config.prefetch_depth) as svc:
             produced: dict[str, dict] = {}
             for job in producers:
                 res = _submit(svc, job, {}).result()

@@ -27,8 +27,7 @@ __all__ = ["Recommendation", "ACTION_TYPES", "rank"]
 
 #: The closed vocabulary of machine-applicable actions.  ``rescale`` and
 #: ``materialize`` rewrite job specs; the rest rewrite the service config.
-ACTION_TYPES = ("rescale", "materialize", "store_format", "memory_cap",
-                "prefetch_depth")
+ACTION_TYPES = ("rescale", "materialize", "memory_cap", "prefetch_depth")
 
 
 class Recommendation:

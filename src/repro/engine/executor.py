@@ -46,14 +46,13 @@ from ..obs.validate import RESUME_STMT, CostValidation, validate_cost
 from ..optimizer.costing import IOModel
 from ..optimizer.plan import Plan
 from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
-                       IOStats, LABTree, RetryPolicy, SimulatedDisk,
-                       make_disk)
+                       IOStats, RetryPolicy, SimulatedDisk, make_disk)
 from .journal import ExecutionJournal, plan_fingerprint
 from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
 
-__all__ = ["ExecutionReport", "CountingStore", "STORE_FACTORIES",
-           "UnstoredArray", "execute_plan", "run_job", "run_program"]
+__all__ = ["ExecutionReport", "CountingStore", "UnstoredArray",
+           "execute_plan", "run_job", "run_program"]
 
 JOURNAL_NAME = "execution.journal"
 
@@ -175,7 +174,6 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
                  pool: BufferPool | None = None,
                  prefetch_depth: int = 0,
                  prefetch_budget_bytes: int | None = None,
-                 prefetch_workers: int = 1,
                  cancel: "CancelToken | None" = None) -> ExecutionReport:
     """Run an executable plan against open stores on ``disk``.
 
@@ -186,8 +184,8 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
     loaded are hits here, and the pool-level statistics in the returned
     report then aggregate over every query sharing the pool.
 
-    ``prefetch_depth`` > 0 overlaps I/O with compute: background reader
-    threads stage up to that many upcoming READ blocks into the pool
+    ``prefetch_depth`` > 0 overlaps I/O with compute: a background reader
+    thread stages up to that many upcoming READ blocks into the pool
     (see :class:`~repro.engine.prefetch.PrefetchPipeline`), bounded by
     ``prefetch_budget_bytes`` of staged-but-unconsumed data.  I/O
     attribution stays byte-exact: every disk read is traced against the
@@ -266,7 +264,7 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
             pipeline = PrefetchPipeline(
                 items, stores, pool, depth=prefetch_depth,
                 budget_bytes=prefetch_budget_bytes,
-                workers=prefetch_workers, io_stats=io_stats, tracer=tracer,
+                io_stats=io_stats, tracer=tracer,
                 completed=start_index - 1, cancel=cancel)
 
     # Deep storage retry loops poll the thread-local interrupt: a cancelled
@@ -422,11 +420,6 @@ def _no_loader(key):
     return fail
 
 
-#: Store layouts a job's arrays can live in, with the on-disk file that
-#: marks an existing store of that format (the resume probe).
-STORE_FACTORIES = {"daf": (DAFMatrix, ".daf"), "labtree": (LABTree, ".labt")}
-
-
 class CountingStore:
     """Per-job I/O attribution proxy around one store.
 
@@ -519,7 +512,6 @@ class UnstoredArray:
 
 def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             inputs: Mapping[str, np.ndarray], disk: SimulatedDisk, *,
-            formats: Mapping[str, str],
             names: "Mapping[str, str] | None" = None,
             catalog: DatasetCatalog | None = None,
             breaker_for: Callable[[str], object] = lambda name: None,
@@ -537,8 +529,8 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
     what a job does to storage is the same by construction; the arguments
     are what genuinely differs between them:
 
-    * ``formats`` / ``names`` — per logical array, the store's layout (a
-      :data:`STORE_FACTORIES` key) and on-disk name (default: the logical);
+    * ``names`` — per logical array, the store's on-disk name (default:
+      the logical name);
     * ``catalog`` — a :class:`~repro.storage.DatasetCatalog` of ``disk``:
       INPUT arrays are its datasets, shared across jobs by on-disk name,
       each ingested once and owned by the catalog; without a catalog
@@ -592,16 +584,14 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             return catalog.dataset(names[lname], arr.num_blocks(params),
                                    arr.block_shape, dtype,
                                    input_matrix(lname))
-        factory, marker = STORE_FACTORIES[formats[lname]]
-        if resuming and disk.exists(names[lname] + marker):
-            return factory.open(disk, names[lname])
-        store = factory.create(disk, names[lname], arr.num_blocks(params),
-                               arr.block_shape, dtype)
+        if resuming and disk.exists(names[lname] + ".daf"):
+            return DAFMatrix.open(disk, names[lname])
+        store = DAFMatrix.create(disk, names[lname], arr.num_blocks(params),
+                                 arr.block_shape, dtype)
         if arr.kind is ArrayKind.INPUT:
             store.write_matrix(input_matrix(lname), count=False)
-        elif factory is DAFMatrix:
-            # Unwritten regions read as zeros that verify (LAB-tree blocks
-            # materialize on first write).
+        else:
+            # Unwritten regions read as zeros that verify.
             store.preallocate()
         return store
 
@@ -640,7 +630,6 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
                 workdir, inputs: Mapping[str, np.ndarray],
                 io_model: IOModel | None = None,
                 memory_cap_bytes: int | None = None,
-                store_format: str = "daf",
                 plan_exact: bool = True,
                 faults: "FaultInjector | int | None" = None,
                 retry: RetryPolicy | None = None,
@@ -691,7 +680,7 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
     I/O–compute overlap:
 
     * ``prefetch_depth`` — stage up to this many upcoming READ blocks on
-      background reader threads (0 = serial, the default);
+      a background reader thread (0 = serial, the default);
     * ``prefetch_budget_bytes`` — cap on staged-but-unconsumed bytes;
       defaults to the memory cap minus the plan's predicted peak residency
       (unbounded when no cap is set);
@@ -709,9 +698,6 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
     * ``pace_channels`` — cap concurrent paced transfers per disk/shard
       (``None`` = historical unbounded pacing).
     """
-    if store_format not in STORE_FACTORIES:
-        raise ExecutionError(f"unknown store format {store_format!r}")
-
     per_shard_injectors = None
     if isinstance(faults, (list, tuple)):
         per_shard_injectors = list(faults)
@@ -756,11 +742,10 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
             obs_trace.span("run_program", "engine", program=program.name,
                            plan=plan.index, plan_exact=plan_exact,
                            resume=resume and journal_path.exists()):
-        # The disk is this run's alone: every array (inputs included) in
-        # ``store_format``, nothing shared.
+        # The disk is this run's alone: every array, inputs included, is
+        # its own store, nothing shared.
         report, outputs, _, exec_plan = run_job(
             program, params, plan, inputs, disk,
-            formats=dict.fromkeys(program.arrays, store_format),
             journal_path=journal_path, resume=resume,
             memory_cap_bytes=memory_cap_bytes, plan_exact=plan_exact,
             prefetch_depth=prefetch_depth,

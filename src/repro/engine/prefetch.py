@@ -2,9 +2,9 @@
 
 The chosen plan is a perfect oracle of the future block-access sequence
 (:meth:`~repro.codegen.exec_plan.ExecutablePlan.read_sequence`), so the
-engine can walk it *ahead* of the compute loop: background reader threads
-claim upcoming disk READs, batch contiguous on-disk runs into single
-seek+transfer ops, and stage the blocks into the buffer pool pinned — LRU
+engine can walk it *ahead* of the compute loop: a background reader thread
+claims upcoming disk READs, batches contiguous on-disk runs into single
+seek+transfer ops, and stages the blocks into the buffer pool pinned — LRU
 pressure cannot drop them between staging and consumption.  The compute
 loop then consumes staged blocks instead of blocking on disk, pushing wall
 clock from ``io + compute`` toward ``max(io, compute)`` — the RIOT-style
@@ -44,7 +44,7 @@ __all__ = ["PrefetchPipeline", "PrefetchStats"]
 # Item lifecycle.  PENDING -> CLAIMED -> STAGED -> CONSUMED is the happy
 # path; PENDING -> TAKEN means the main thread performs the read serially
 # (pipeline closed, item over budget, or compute caught up with the
-# readers); CLAIMED -> FAILED stores the reader's exception for re-raise
+# reader); CLAIMED -> FAILED stores the reader's exception for re-raise
 # at consumption.
 _PENDING, _CLAIMED, _STAGED, _TAKEN, _CONSUMED, _FAILED = range(6)
 
@@ -57,14 +57,14 @@ class PrefetchStats:
                  "wait_seconds", "max_staged_bytes")
 
     def __init__(self):
-        self.staged_blocks = 0      # blocks reader threads staged
+        self.staged_blocks = 0      # blocks the reader staged
         self.batched_runs = 0       # contiguous runs read as one op
         self.batched_blocks = 0     # blocks covered by those runs
         self.consumed_staged = 0    # staged blocks the compute loop used
         self.taken_by_main = 0      # reads the main thread did serially
         self.discarded = 0          # staged blocks dropped at close()
         self.failed = 0             # reads that raised in a reader thread
-        self.wait_seconds = 0.0     # compute time spent waiting on readers
+        self.wait_seconds = 0.0     # compute time spent waiting on the reader
         self.max_staged_bytes = 0   # peak staged-but-unconsumed bytes
 
     def as_dict(self) -> dict:
@@ -78,10 +78,10 @@ class PrefetchStats:
 
 
 class PrefetchPipeline:
-    """Background readers staging the plan's future READs into the pool.
+    """One background reader staging the plan's future READs into the pool.
 
     ``pool`` is used as given — a :class:`~repro.storage.BufferPool` or a
-    view forwarding to one; the pool itself serializes the readers'
+    view forwarding to one; the pool itself serializes the reader's
     ``stage`` calls against the compute thread.
     ``completed`` is the highest instance index already executed (``-1``
     for a fresh run; the resume boundary minus one on a resumed run).
@@ -90,7 +90,7 @@ class PrefetchPipeline:
     def __init__(self, items: Sequence[PrefetchItem],
                  stores: Mapping[str, object], pool, *,
                  depth: int, budget_bytes: int | None = None,
-                 workers: int = 1, io_stats=None, tracer=None,
+                 io_stats=None, tracer=None,
                  completed: int = -1,
                  cancel: "CancelToken | None" = None):
         if depth < 1:
@@ -109,20 +109,17 @@ class PrefetchPipeline:
         self._state = [_PENDING] * n
         self._errors: dict[int, BaseException] = {}
         self._cursor = 0            # next item the compute loop consumes
-        self._scan = 0              # next item readers consider claiming
+        self._scan = 0              # next item the reader considers claiming
         self._watermark = completed
         self._inflight = 0          # items CLAIMED or STAGED
         self._inflight_bytes = 0
         self._closing = False
         self._cond = threading.Condition()
-        self._threads = [
-            threading.Thread(target=self._reader_loop, daemon=True,
-                             name=f"prefetch-{i}")
-            for i in range(max(1, workers))]
-        for t in self._threads:
-            t.start()
+        self._thread = threading.Thread(target=self._reader_loop,
+                                        daemon=True, name="prefetch-0")
+        self._thread.start()
         if cancel is not None:
-            # Wake readers parked on the condition so they observe the
+            # Wake the reader parked on the condition so it observes the
             # cancellation promptly instead of sleeping until close().
             cancel.subscribe(self._wake_all)
 
@@ -175,10 +172,8 @@ class PrefetchPipeline:
             run = [head]
             state[self._scan] = _CLAIMED
             self._scan += 1
-            batched = hasattr(self._stores.get(
-                head.access.access.array.name), "read_block_run")
             run_bytes = self._nbytes(head)
-            while batched and self._scan < n:
+            while self._scan < n:
                 nxt = items[self._scan]
                 if (state[self._scan] != _PENDING
                         or nxt.access.access.array.name
@@ -372,7 +367,7 @@ class PrefetchPipeline:
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the readers and discard staged-but-unconsumed blocks.
+        """Stop the reader and discard staged-but-unconsumed blocks.
 
         Idempotent; safe after both normal completion and a mid-plan
         failure.  Discarded blocks came straight from disk, so dropping
@@ -381,8 +376,7 @@ class PrefetchPipeline:
         with self._cond:
             self._closing = True
             self._cond.notify_all()
-        for t in self._threads:
-            t.join()
+        self._thread.join()
         for seq in range(self._cursor, len(self._items)):
             if self._state[seq] == _STAGED:
                 self._state[seq] = _CONSUMED

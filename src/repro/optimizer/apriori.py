@@ -316,8 +316,9 @@ def search(analysis: ProgramAnalysis, runner, *,
             break
         k += 1
         feasible_prev = run_level(k, level)
-    if not done and feasible_prev and k == max_set_size:
-        stats.truncated = True  # the level above was never generated
+    if (not done and feasible_prev and k == max_set_size and k < len(usable)
+            and _level_candidates(feasible_prev, usable, k + 1)):
+        stats.truncated = True  # the level above has candidates, untested
 
     if stats.truncated and include_greedy_maximal and not done:
         # Always costed, never bound-skipped: it also serves as the

@@ -67,7 +67,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from ..cancel import CancelToken
-from ..engine.executor import STORE_FACTORIES, ExecutionReport, run_job
+from ..engine.executor import ExecutionReport, run_job
 from ..exceptions import (AdmissionRejected, AdmissionTimeout,
                           DeadlineExceeded, JobCancelled, OptimizationError,
                           ServiceClosed, ServiceError, ServiceOverloaded,
@@ -77,7 +77,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..optimizer import IOModel, Optimizer
 from ..optimizer.plan import Plan
-from ..storage import (BufferPool, DatasetCatalog, FaultInjector,
+from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
                        RetryPolicy, make_disk)
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
@@ -300,7 +300,6 @@ class ArrayService:
                  degrade: "DegradePolicy | bool | None" = None,
                  job_timeout: float | None = None,
                  job_retry: "JobRetryPolicy | int | None" = None,
-                 store_format: "str | Mapping[str, str]" = "daf",
                  shards: int = 1,
                  stripe_bytes: int | None = None,
                  io_pace: float = 0.0,
@@ -367,18 +366,6 @@ class ArrayService:
         if isinstance(job_retry, int):
             job_retry = JobRetryPolicy(max_attempts=job_retry)
         self.job_retry = job_retry
-        # Private (intermediate/output) store layout: "daf" or "labtree",
-        # either service-wide or per logical array name ({"C": "labtree"},
-        # with an optional "default" fallback key).  INPUT datasets stay DAF:
-        # the content-addressed catalog is shared across formats and its
-        # dense run-batched reads are what prefetch banks on.
-        if isinstance(store_format, str):
-            store_format = {"default": store_format}
-        self.store_format = {str(k): str(v) for k, v in store_format.items()}
-        for fmt in self.store_format.values():
-            if fmt not in STORE_FACTORIES:
-                raise ServiceError(f"unknown store format {fmt!r} "
-                                   f"(known: {sorted(STORE_FACTORIES)})")
         self.stats = ServiceStats()
 
         self._executor = ThreadPoolExecutor(workers,
@@ -872,13 +859,6 @@ class ArrayService:
         self.stats.active_jobs += 1
         try:
             names = self._store_names(job)
-            # INPUT datasets stay DAF whatever ``store_format`` says (see
-            # __init__); every other array takes its configured layout.
-            formats = {
-                lname: ("daf" if arr.kind is ArrayKind.INPUT
-                        else self.store_format.get(
-                            lname, self.store_format.get("default", "daf")))
-                for lname, arr in job.program.arrays.items()}
             jobdir = self.workdir / "jobs" / job.key
             journaled = job.checkpoint or job.resume
             if journaled or self._workers is not None:
@@ -888,7 +868,7 @@ class ArrayService:
                 if self._workers is None:
                     report, outputs, io, exec_plan = run_job(
                         job.program, job.params, plan, job.inputs, self.disk,
-                        formats=formats, names=names,
+                        names=names,
                         catalog=self.catalog,
                         breaker_for=self.health.breaker_for,
                         journal_path=jobdir / "execution.journal"
@@ -907,14 +887,13 @@ class ArrayService:
                         for lname in exec_plan.disk_arrays():
                             if job.program.arrays[lname].kind \
                                     is not ArrayKind.INPUT:
-                                factory, _ = STORE_FACTORIES[formats[lname]]
-                                factory.remove(self.disk, names[lname])
+                                DAFMatrix.remove(self.disk, names[lname])
                 else:
                     spec = WorkerJobSpec(
                         job=job.key, program=job.program, params=job.params,
                         inputs=job.inputs, plan=plan,
                         plan_exact=job.plan_exact, jobdir=str(jobdir),
-                        store_formats=formats, shards=self.shards,
+                        shards=self.shards,
                         stripe_bytes=self.stripe_bytes,
                         io_model=self.io_model, pace=self.io_pace,
                         pace_channels=self.pace_channels,

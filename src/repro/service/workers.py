@@ -55,9 +55,9 @@ class WorkerJobSpec:
     """
 
     __slots__ = ("job", "program", "params", "inputs", "plan", "plan_exact",
-                 "jobdir", "store_formats", "shards", "stripe_bytes",
-                 "io_model", "pace", "pace_channels", "fault_injector",
-                 "retry", "atomic_writes", "checkpoint", "resume",
+                 "jobdir", "shards", "stripe_bytes", "io_model", "pace",
+                 "pace_channels", "fault_injector", "retry",
+                 "atomic_writes", "checkpoint", "resume",
                  "prefetch_depth", "prefetch_budget_bytes", "pool_cap_bytes",
                  "deadline_remaining", "collect_metrics")
 
@@ -101,7 +101,6 @@ def run_worker_job(spec: WorkerJobSpec) -> WorkerOutcome:
         # by each job — the price of process isolation.
         report, outputs, io, _ = run_job(
             spec.program, spec.params, spec.plan, spec.inputs, disk,
-            formats=spec.store_formats,
             journal_path=jobdir / "execution.journal"
             if spec.checkpoint or spec.resume else None,
             resume=spec.resume, memory_cap_bytes=spec.pool_cap_bytes,

@@ -1,4 +1,4 @@
-"""Storage substrate: RIOTStore [26] formats + buffer manager + simulated disk.
+"""Storage substrate: RIOTStore [26] DAF stores + buffer pool + simulated disk.
 
 Public surface:
 
@@ -13,10 +13,9 @@ Public surface:
   offset — a store's own file from 0, or an extent of a catalog file;
 * :class:`DatasetCatalog` — every shared dataset of one disk in one
   append-only file, each a sealed extent holding a DAF store;
-* :class:`LABTree` — Linearized Array B-tree (sparse-capable B+-tree format);
 * :class:`BlockLayout` / :class:`BlockChecksums` — column-major layout
-  arithmetic and the per-block checksum table (in the DAF file's tail, or
-  a LAB-tree's ``.labc`` file), held in memory while the store is open;
+  arithmetic and the per-block checksum table (in the DAF store's tail),
+  held in memory while the store is open;
 * :class:`BufferPool` — explicitly capped memory with pinning (Section 4.2):
   the one pool class, private to a run or shared by concurrent queries
   (single lock, loader de-duplication, per-owner pin accounting);
@@ -30,7 +29,6 @@ from .buffer import BufferedBlock, BufferPool, SharedBufferPool
 from .daf import DAFMatrix, DatasetCatalog
 from .disk import DiskFile, IOStats, SimulatedDisk
 from .faults import FaultInjector, FaultPolicy, InjectedFault, RetryPolicy
-from .labtree import LABTree
 from .sharding import DEFAULT_STRIPE_BYTES, ShardedDisk, ShardedFile, \
     make_disk
 
@@ -45,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultPolicy",
     "InjectedFault",
-    "LABTree",
     "RetryPolicy",
     "SimulatedDisk",
     "ShardedDisk",

@@ -32,7 +32,7 @@ def block_checksum(data: bytes) -> int:
 
 class BlockChecksums:
     """Per-block checksum table of one store, from byte ``base`` of
-    ``file`` (a DAF file's tail, or a LAB-tree's ``.labc`` file).
+    ``file`` (a DAF store's tail).
 
     One little-endian uint64 per linear block index: the low 32 bits hold
     the checksum, bit 32 marks the slot as recorded (so a genuine checksum

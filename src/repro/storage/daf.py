@@ -1,8 +1,8 @@
 """DAF — Directly Addressable File (RIOTStore [26]).
 
-The simplest of the two RIOTStore formats: one flat file per matrix, blocks
-at computed offsets (column-major block order, column-major elements within
-a block, no stored indexes).  Reads and writes are whole blocks, the
+RIOTStore's dense format, and the only store format here: one flat file
+per matrix, blocks at computed offsets (column-major block order,
+column-major elements within a block, no stored indexes).  Reads and writes are whole blocks, the
 program's unit of I/O.
 
 A store (``DAF2``) is a 64-byte header, the data, then one tagged uint64

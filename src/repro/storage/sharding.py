@@ -8,7 +8,7 @@ the stack onto that hardware shape without changing a single caller:
 
 * it presents the exact :class:`~repro.storage.disk.SimulatedDisk`
   surface (``open``/``exists``/``stats``/``recover``/``close``), so
-  DAF/LAB-tree stores, the buffer pool, prefetch staging,
+  DAF stores, the buffer pool, prefetch staging,
   checkpoint/resume and the advisor all compose unchanged;
 * every logical file is **striped**: byte stripe ``s`` of file ``name``
   lives on shard ``(H(name) + s) mod N`` — deterministic placement keyed

@@ -104,13 +104,17 @@ class TestApply:
     def test_service_knob_actions(self):
         cfg = AdvisorConfig.from_spec(shared_spec(1), CAP)
         out = apply_recommendations(cfg, [
-            rec([{"type": "store_format", "array": "C",
-                  "format": "labtree"}], kind="layout", advisory=True),
+            rec([{"type": "memory_cap", "bytes": 2 * CAP}],
+                kind="memory_budget", advisory=True),
             rec([{"type": "prefetch_depth", "depth": 2}], kind="prefetch",
                 advisory=True),
         ])
-        assert out.store_format["C"] == "labtree"
+        assert out.memory_cap_bytes == 2 * CAP
         assert out.prefetch_depth == 2
+        # DAF is the only store format: there is no layout action to apply.
+        with pytest.raises(ValueError):
+            rec([{"type": "store_format", "array": "C",
+                  "format": "labtree"}], kind="layout", advisory=True)
 
 
 class TestRunWorkload:

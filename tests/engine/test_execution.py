@@ -78,18 +78,6 @@ class TestMemoryCap:
 
 
 class TestStoreFormats:
-    def test_labtree_backend(self, prog, result, inputs, truth, tmp_path):
-        best = result.best()
-        report, outputs = run_program(prog, P, best, tmp_path, inputs,
-                                      store_format="labtree")
-        assert np.allclose(outputs["E"], truth)
-        assert report.io.read_bytes == best.cost.read_bytes
-
-    def test_unknown_format_rejected(self, prog, result, inputs, tmp_path):
-        with pytest.raises(ExecutionError):
-            run_program(prog, P, result.best(), tmp_path, inputs,
-                        store_format="csv")
-
     def test_missing_input_rejected(self, prog, result, tmp_path):
         with pytest.raises(ExecutionError):
             run_program(prog, P, result.best(), tmp_path, {})

@@ -1,0 +1,94 @@
+"""The public knob inventory, pinned.
+
+Every parameter of the job-running entry points, every slot of the specs
+that carry a job or a workload between layers, and every ``repro serve``
+flag is listed here.  Adding, removing or renaming a knob is a design
+change, so it has to show up as an edit to this file.
+"""
+
+import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.advisor import AdvisorConfig
+from repro.engine.executor import execute_plan, run_job, run_program
+from repro.service import ArrayService
+from repro.service.workers import WorkerJobSpec
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+INVENTORY = {
+    "run_program": """
+        program params plan workdir inputs io_model memory_cap_bytes
+        plan_exact faults retry atomic_writes checkpoint resume tracer
+        validate prefetch_depth prefetch_budget_bytes io_pace shards
+        stripe_bytes pace_channels""",
+    "run_job": """
+        program params plan inputs disk names catalog breaker_for
+        journal_path resume pool memory_cap_bytes plan_exact prefetch_depth
+        prefetch_budget_bytes cancel""",
+    "execute_plan": """
+        plan stores disk memory_cap_bytes plan_exact journal resume pool
+        prefetch_depth prefetch_budget_bytes cancel""",
+    "ArrayService.__init__": """
+        workdir memory_cap_bytes workers io_model plan_cache max_pending
+        admission_timeout faults retry atomic_writes max_set_size
+        max_candidates prefetch_depth degrade job_timeout job_retry shards
+        stripe_bytes io_pace pace_channels backend""",
+    "ArrayService.submit": """
+        program params inputs name memory_cap_bytes plan plan_exact
+        checkpoint resume admission_timeout workers prefetch_depth timeout
+        deadline retry""",
+    "WorkerJobSpec.__slots__": """
+        job program params inputs plan plan_exact jobdir shards stripe_bytes
+        io_model pace pace_channels fault_injector retry atomic_writes
+        checkpoint resume prefetch_depth prefetch_budget_bytes
+        pool_cap_bytes deadline_remaining collect_metrics""",
+    "AdvisorConfig.__slots__": """
+        jobs memory_cap_bytes prefetch_depth io_model max_set_size
+        max_candidates workers plan_cache""",
+    "repro serve --help": """
+        --help --service-workers --memory-cap --plan-cache --workdir
+        --admission-timeout --verify --metrics-out --prefetch --deadline
+        --job-retries --degrade --backend --shards --stripe-bytes --io-pace
+        --pace-channels""",
+}
+
+
+def _params(fn):
+    return [p for p in inspect.signature(fn).parameters if p != "self"]
+
+
+def _serve_flags():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-m", "repro", "serve", "--help"],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    flags = []
+    for line in out.splitlines():
+        m = re.match(r"\s+(?:-\w, )?(--[\w-]+)", line)
+        if m:
+            flags.append(m.group(1))
+    return flags
+
+
+ACTUAL = {
+    "run_program": lambda: _params(run_program),
+    "run_job": lambda: _params(run_job),
+    "execute_plan": lambda: _params(execute_plan),
+    "ArrayService.__init__": lambda: _params(ArrayService.__init__),
+    "ArrayService.submit": lambda: _params(ArrayService.submit),
+    "WorkerJobSpec.__slots__": lambda: list(WorkerJobSpec.__slots__),
+    "AdvisorConfig.__slots__": lambda: list(AdvisorConfig.__slots__),
+    "repro serve --help": _serve_flags,
+}
+
+
+@pytest.mark.parametrize("surface", list(INVENTORY))
+def test_knob_inventory(surface):
+    assert ACTUAL[surface]() == INVENTORY[surface].split()

@@ -8,6 +8,7 @@ from repro.exceptions import OptimizationError
 from repro.ir import lex_less
 from repro.optimizer import (ConstraintCache, enum_row, enumerate_feasible_sets,
                              find_schedule, optimize)
+from repro.workloads.generator import random_program
 from tests.fixtures import example1_program
 
 P = {"n1": 3, "n2": 2, "n3": 1}
@@ -205,3 +206,27 @@ class TestSelection:
     def test_best_plan_is_papers(self, result):
         assert set(result.best().realized_labels) == {
             "s1WC->s2RC", "s2WE->s2RE", "s2WE->s2WE"}
+
+
+class TestTruncationAtMaxSetSize:
+    """A walk that stops at ``max_set_size`` is truncated only when the
+    next level has candidates: ``random_program(7, n_statements=3)`` at
+    n=3 has two usable opportunities, so ``max_set_size=2`` walks the
+    whole lattice and must not add a greedy-maximal completion."""
+
+    def test_complete_walk_is_not_truncated(self):
+        program, params = random_program(7, n_statements=3), {"n": 3}
+        capped = optimize(program, params, max_set_size=2)
+        full = optimize(program, params)
+        stats = capped.stats
+        assert stats.total_subsets == 3
+        assert not stats.truncated
+        assert stats.candidates_tested == 3
+        assert 0.0 <= stats.pruned_fraction <= 1.0
+
+        def plans(result):
+            return [(p.index, tuple(p.realized_labels), p.cost.io_seconds,
+                     p.cost.read_bytes, p.cost.write_bytes,
+                     p.cost.memory_bytes) for p in result.plans]
+
+        assert plans(capped) == plans(full)

@@ -76,37 +76,35 @@ def typed(prog, best_plan):
     return {8: (prog, best_plan), 4: (prog4, optimize(prog4, P).best(CAP))}
 
 
-def _run_via(runner, prog, plan, inputs, workdir, fmt):
+def _run_via(runner, prog, plan, inputs, workdir):
     """One plan-exact job through ``run_program`` or a service backend;
     returns (outputs, counted I/O)."""
     if runner == "run_program":
         report, outputs = run_program(prog, P, plan, workdir, inputs,
-                                      store_format=fmt, plan_exact=True,
-                                      validate=True)
+                                      plan_exact=True, validate=True)
         assert report.validation.passed, report.validation.failures()
         return outputs, report.io
     with ArrayService(workdir, memory_cap_bytes=4 * CAP, workers=2,
-                      backend=runner, store_format=fmt) as svc:
+                      backend=runner) as svc:
         r = svc.submit(prog, P, inputs, plan=plan,
                        plan_exact=True).result(timeout=180)
     return r.outputs, r.report.io
 
 
 class TestProcsParity:
-    @pytest.mark.parametrize("fmt,dtype_bytes", [
-        ("daf", 8), ("daf", 4), ("labtree", 8), ("labtree", 4)])
+    @pytest.mark.parametrize("dtype_bytes", [8, 4])
     def test_outputs_and_attribution_match_threads(self, typed, tmp_path,
-                                                   fmt, dtype_bytes):
+                                                   dtype_bytes):
         """``run_program``, the thread backend and the process backend run
         a job through one function: same outputs, same counted I/O, and that
-        I/O is the plan's — in either store format and element width."""
+        I/O is the plan's — in either element width."""
         prog, plan = typed[dtype_bytes]
         runs = {}
         for seed in (0, 1):
             for runner in ("run_program", "threads", "procs"):
                 runs[runner, seed] = _run_via(
                     runner, prog, plan, _inputs(prog, seed),
-                    tmp_path / f"{runner}{seed}", fmt)
+                    tmp_path / f"{runner}{seed}")
         for (runner, seed), (outputs, io) in runs.items():
             base_outputs, base_io = runs["threads", seed]
             assert outputs.keys() == base_outputs.keys()

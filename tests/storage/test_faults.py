@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CorruptBlockError, StorageError
-from repro.storage import (DAFMatrix, FaultInjector, FaultPolicy, LABTree,
+from repro.storage import (DAFMatrix, FaultInjector, FaultPolicy,
                            RetryPolicy, SimulatedDisk, block_checksum)
 
 
@@ -198,16 +198,6 @@ class TestChecksums:
             m.read_block((0, 1))
             with pytest.raises(CorruptBlockError):
                 m.read_block((1, 0))
-
-    def test_labtree_payload_corruption_detected(self, tmp_path):
-        with _disk(tmp_path) as disk:
-            t = LABTree.create(disk, "T", (2, 2), (4, 4))
-            t.write_block((0, 0), _block(7))
-            t.data_file.flush()
-            with open(tmp_path / "T.labd", "r+b") as fh:
-                fh.write(b"\x00" * 32)
-            with pytest.raises(CorruptBlockError):
-                t.read_block((0, 0))
 
     def test_block_checksum_stable(self):
         assert block_checksum(b"abc") == block_checksum(b"abc")

@@ -7,8 +7,7 @@ import pytest
 from repro.engine import run_program
 from repro.exceptions import ExecutionError, StorageError
 from repro.optimizer import optimize
-from repro.storage import (DAFMatrix, LABTree, ShardedDisk, SimulatedDisk,
-                           make_disk)
+from repro.storage import DAFMatrix, ShardedDisk, SimulatedDisk, make_disk
 from repro.storage.faults import FaultInjector, FaultPolicy, RetryPolicy
 from repro.storage.sharding import _name_base
 from tests.fixtures import example1_program
@@ -116,14 +115,6 @@ class TestDAFParity:
         # Physical segment traffic partitions the logical bytes.
         assert phys_read == base.read_bytes
 
-    def test_labtree_on_shards(self, tmp_path):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((120, 80))
-        with make_disk(tmp_path, 2, stripe_bytes=4096) as disk:
-            t = LABTree.create(disk, "T", (2, 2), (60, 40))
-            t.write_matrix(m)
-            assert np.array_equal(t.read_matrix(), m)
-
     def test_exists_and_recover_fan_out(self, tmp_path):
         with make_disk(tmp_path, 2, atomic_writes=True) as disk:
             f = disk.open("x")
@@ -145,13 +136,11 @@ class TestDAFParity:
                        retry=RetryPolicy(max_retries=0)) as disk:
             for name in ("j__C", "j__C2"):
                 DAFMatrix.create(disk, name, (2, 2), (60, 40)).preallocate()
-            LABTree.create(disk, "j__T", (2, 2), (60, 40))
             with pytest.raises(StorageError):  # leaves an undo record
                 DAFMatrix.open(disk, "j__C").write_block(
                     (0, 0), np.ones((60, 40)))
             assert disk.pending_undos()
             DAFMatrix.remove(disk, "j__C")
-            LABTree.remove(disk, "j__T")
             assert disk.pending_undos() == []
             left = {p.name.split(".")[0] for p in tmp_path.rglob("*")
                     if p.is_file()}
