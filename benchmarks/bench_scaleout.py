@@ -1,12 +1,11 @@
-"""Scale-out SLO benchmark: 1000 mixed jobs x shards x worker backend.
+"""Scale-out SLO benchmark: 1000 mixed jobs x shards.
 
-The capstone for the sharded-disk + process-worker subsystem (ROADMAP
-item 3).  A closed batch of ``REPRO_SCALEOUT_JOBS`` jobs (default 1000;
-CI runs 200) mixing three job classes — 75 % small, 22.5 % medium,
-2.5 % large ``add_multiply`` instances — is pushed through every cell of
-shards x {1, 2, 4} x backend x {threads, procs} on a *paced* disk
-(``io_pace=5`` with one device channel per shard, so shard count is
-real parallel hardware, not bookkeeping):
+The capstone for the sharded service disk.  A closed batch of
+``REPRO_SCALEOUT_JOBS`` jobs (default 1000; CI runs 200) mixing three job
+classes — 75 % small, 22.5 % medium, 2.5 % large ``add_multiply``
+instances — is pushed through one service per shard count {1, 2, 4} on a
+*paced* disk (``io_pace=5`` with one device channel per shard, so shard
+count is real parallel hardware, not bookkeeping):
 
 * **throughput** — aggregate attributed read bytes / makespan, with the
   acceptance bar that shards=4 sustains >= 2x the single-disk rate;
@@ -14,8 +13,8 @@ real parallel hardware, not bookkeeping):
   the service's ``job_seconds`` histogram (queue wait included: this is
   a saturated closed batch, so the tail is the backlog);
 * **parity** — per-job attributed I/O totals must be identical in every
-  cell (plan-exact replay is backend- and shard-independent), and a
-  sample of outputs is checked against the dense reference;
+  cell (plan-exact replay is shard-independent), and a sample of outputs
+  is checked against the dense reference;
 * **overload** — a burst into a constrained service with degradation
   enabled, recording shed/completed splits and that the ladder engages
   instead of queueing without bound;
@@ -44,7 +43,6 @@ IO_PACE = 5.0           # sleep 5x the modeled transfer time...
 PACE_CHANNELS = 1       # ...serialized per shard: one channel per device
 N_JOBS = int(os.environ.get("REPRO_SCALEOUT_JOBS", "1000"))
 SHARD_COUNTS = (1, 2, 4)
-BACKENDS = ("threads", "procs")
 VERIFY_EVERY = 50       # dense-reference check on every 50th job
 DISTINCT_SEEDS = 16     # input variants per class (cycled across jobs)
 
@@ -98,16 +96,16 @@ class _Workload:
         return self._refs[key]
 
 
-def _run_cell(wl, backend, shards, workdir, verify=True):
+def _run_cell(wl, shards, workdir, verify=True):
     registry = obs_metrics.MetricsRegistry()
     obs_metrics.install(registry)
     try:
         t0 = time.perf_counter()
         with ArrayService(workdir, memory_cap_bytes=CAP, workers=WORKERS,
-                          backend=backend, shards=shards,
-                          io_pace=IO_PACE, pace_channels=PACE_CHANNELS) as svc:
+                          shards=shards, io_pace=IO_PACE,
+                          pace_channels=PACE_CHANNELS) as svc:
             # plan_exact pins every job to its plan's predicted I/O, so
-            # attributed bytes are deterministic across backends/shards
+            # attributed bytes are deterministic across shard counts
             # (opportunistic pool hits would vary with scheduling).
             futures = [
                 svc.submit(wl.programs[kind], P, wl.inputs(kind, seed),
@@ -128,12 +126,12 @@ def _run_cell(wl, backend, shards, workdir, verify=True):
             assert out, f"job {idx} returned no outputs"
             for name in out:
                 assert np.allclose(out[name], expected[name]), \
-                    f"{backend}/shards={shards}: job {idx} output diverged"
+                    f"shards={shards}: job {idx} output diverged"
 
     read_bytes = sum(r.report.io.read_bytes for r in results)
     write_bytes = sum(r.report.io.write_bytes for r in results)
     return {
-        "backend": backend, "shards": shards, "jobs": len(results),
+        "shards": shards, "jobs": len(results),
         "completed": completed, "makespan_seconds": makespan,
         "read_bytes": read_bytes, "write_bytes": write_bytes,
         "read_throughput_mb_s": read_bytes / makespan / 1e6,
@@ -147,34 +145,33 @@ def test_scaleout_matrix(tmp_path_factory):
     banner(f"Scale-out SLO matrix: {N_JOBS} mixed jobs "
            f"(pace={IO_PACE}, {PACE_CHANNELS} channel/shard, "
            f"{WORKERS} workers)")
-    print(f"{'backend':>8} {'shards':>6} {'makespan':>9} {'MB/s':>7} "
+    print(f"{'shards':>6} {'makespan':>9} {'MB/s':>7} "
           f"{'jobs/s':>7} {'p50':>6} {'p90':>6} {'p99':>6}")
 
     cells = []
-    for backend in BACKENDS:
-        for shards in SHARD_COUNTS:
-            workdir = tmp_path_factory.mktemp(f"so_{backend}_{shards}")
-            cell = _run_cell(wl, backend, shards, workdir)
-            lat = cell["latency_seconds"]
-            print(f"{backend:>8} {shards:>6} "
-                  f"{cell['makespan_seconds']:>8.1f}s "
-                  f"{cell['read_throughput_mb_s']:>7.1f} "
-                  f"{cell['jobs_per_second']:>7.1f} "
-                  f"{lat['p50']:>6.2f} {lat['p90']:>6.2f} "
-                  f"{lat['p99']:>6.2f}")
-            cells.append(cell)
+    for shards in SHARD_COUNTS:
+        workdir = tmp_path_factory.mktemp(f"so_{shards}")
+        cell = _run_cell(wl, shards, workdir)
+        lat = cell["latency_seconds"]
+        print(f"{shards:>6} "
+              f"{cell['makespan_seconds']:>8.1f}s "
+              f"{cell['read_throughput_mb_s']:>7.1f} "
+              f"{cell['jobs_per_second']:>7.1f} "
+              f"{lat['p50']:>6.2f} {lat['p90']:>6.2f} "
+              f"{lat['p99']:>6.2f}")
+        cells.append(cell)
 
     # Plan-exact attribution is identical in every cell: same jobs, same
-    # plans, so the same charged bytes regardless of backend or shards.
+    # plans, so the same charged bytes whatever the shard count.
     for cell in cells[1:]:
         assert cell["read_bytes"] == cells[0]["read_bytes"], cell
         assert cell["write_bytes"] == cells[0]["write_bytes"], cell
         assert cell["completed"] == N_JOBS
 
-    by = {(c["backend"], c["shards"]): c for c in cells}
-    speedup = (by[("threads", 4)]["read_throughput_mb_s"]
-               / by[("threads", 1)]["read_throughput_mb_s"])
-    print(f"threads shards=4 vs 1: {speedup:.2f}x read throughput")
+    by = {c["shards"]: c for c in cells}
+    speedup = (by[4]["read_throughput_mb_s"]
+               / by[1]["read_throughput_mb_s"])
+    print(f"shards=4 vs 1: {speedup:.2f}x read throughput")
     assert speedup >= 2.0, \
         f"sharding speedup {speedup:.2f}x below the 2x acceptance bar"
 
@@ -236,7 +233,7 @@ def test_scaleout_matrix(tmp_path_factory):
             "classes": CLASSES, "params": P,
         },
         "matrix": cells,
-        "sharding_speedup_threads_4v1": speedup,
+        "sharding_speedup_4v1": speedup,
         "overload": overload,
         "plan_cache": cache,
     }, indent=2) + "\n")

@@ -12,8 +12,7 @@ Commands:
   file through one :class:`~repro.service.ArrayService` (shared buffer
   pool, plan cache, admission control) and report per-job I/O, cache
   hits, queue statistics and latency percentiles; ``--shards`` stripes
-  the service disk, ``--backend procs`` executes jobs in worker
-  processes (see docs/service.md "Scaling out");
+  the service disk (see docs/service.md "Scaling out");
 * ``advise``   — the workload-driven storage advisor: profile a workload
   (live baseline run, or offline from an exported ``--trace``/``--metrics``
   pair), emit ranked costed recommendations (block geometry,
@@ -150,13 +149,6 @@ def main(argv: list[str] | None = None) -> int:
                             "prefetch under memory pressure, skip cold "
                             "plan searches when the queue is deep, and "
                             "trip per-store circuit breakers")
-    serve.add_argument("--backend", choices=("threads", "procs"),
-                       default="threads",
-                       help="job execution backend: \"threads\" shares one "
-                            "disk and buffer pool; \"procs\" runs each "
-                            "admitted job in a worker process with a "
-                            "private (sharded) disk and merges its I/O "
-                            "attribution and metrics back (default threads)")
     serve.add_argument("--shards", type=int, default=1,
                        help="stripe the service disk across N independent "
                             "shards with per-shard fault/retry domains "
@@ -421,7 +413,7 @@ def _serve(args) -> int:
                           job_timeout=args.deadline,
                           job_retry=args.job_retries,
                           degrade=bool(args.degrade),
-                          backend=args.backend, shards=args.shards,
+                          shards=args.shards,
                           stripe_bytes=args.stripe_bytes,
                           io_pace=args.io_pace,
                           pace_channels=args.pace_channels) as svc:

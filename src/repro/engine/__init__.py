@@ -7,7 +7,7 @@ Public surface:
   with optional fault injection, checkpointing, and resume;
 * :func:`execute_plan` — the inner loop over an :class:`ExecutablePlan`;
   between the two sits ``executor.run_job``, the internal job runner that
-  ``run_program`` and both :mod:`repro.service` backends share;
+  ``run_program`` and :class:`~repro.service.ArrayService` share;
 * :class:`ExecutionReport` — measured I/O, simulated seconds, CPU time;
 * :class:`ExecutionJournal` / :func:`plan_fingerprint` — the instance-level
   checkpoint log behind ``resume=True``;

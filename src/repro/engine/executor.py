@@ -24,7 +24,7 @@ the resume point rewinds to the instance that produced it.
 ``run_job`` is the one path from a planned job to its outputs — open or
 create the stores, wrap them for attribution, build the executable plan,
 journal, execute, read back, close — shared by ``run_program`` (make a
-disk, run, validate) and both backends of :mod:`repro.service`.
+disk, run, validate) and :class:`repro.service.ArrayService`.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ class CountingStore:
     counts the *logical* block I/O this job issued (fault-retry and
     checksum-healing re-reads stay global-only).  The job's prefetch
     reader threads and its compute thread both count here, hence the lock.
-    Every job on every backend runs through it — that shared
+    ``run_program`` and every service job run through it — that shared
     implementation is what makes their attribution comparable at all.
     """
 
@@ -525,7 +525,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
                        ExecutablePlan]:
     """Execute one planned job on ``disk``: the only job runner there is.
 
-    ``run_program`` and both :mod:`repro.service` backends call this, so
+    ``run_program`` and :class:`~repro.service.ArrayService` call this, so
     what a job does to storage is the same by construction; the arguments
     are what genuinely differs between them:
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
@@ -66,23 +67,8 @@ class Counter:
     def inc(self, n: float = 1) -> None:
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another instrument's total into this one (additive)."""
-        self.value += other.value
-
     def series(self) -> list[tuple[str, dict, float]]:
         return [(self.name, self.labels, self.value)]
-
-    # Slotted classes need explicit state for pickling (worker processes
-    # ship their registries back to the parent for merging).
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "labels": self.labels,
-                "value": self.value}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.labels = state["labels"]
-        self.value = state["value"]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}{_render_labels(self.labels)}={self.value})"
@@ -171,27 +157,8 @@ class Histogram:
         with self._lock:
             self.sum += v
             self.count += 1
-            for i, le in enumerate(self.buckets):
-                if v <= le:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Requires identical bucket bounds — merging across different
-        bucketings would silently misplace observations.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"{self.name}: cannot merge histograms with different "
-                f"buckets {other.buckets} vs {self.buckets}")
-        with self._lock:
-            for i, c in enumerate(other.counts):
-                self.counts[i] += c
-            self.sum += other.sum
-            self.count += other.count
+            # First bound >= v; past the last one is the +Inf bucket.
+            self.counts[bisect_left(self.buckets, v)] += 1
 
     def quantile(self, q: float) -> float | None:
         """Estimate the ``q``-quantile (Prometheus ``histogram_quantile``).
@@ -225,21 +192,6 @@ class Histogram:
                   ) -> dict[str, float | None]:
         """``{"p50": ..., "p90": ..., "p99": ...}`` estimates per ``qs``."""
         return {f"p{q * 100:g}": self.quantile(q) for q in qs}
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {"name": self.name, "labels": self.labels,
-                    "buckets": self.buckets, "counts": list(self.counts),
-                    "sum": self.sum, "count": self.count}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.labels = state["labels"]
-        self.buckets = state["buckets"]
-        self.counts = state["counts"]
-        self.sum = state["sum"]
-        self.count = state["count"]
-        self._lock = threading.Lock()
 
     def series(self) -> list[tuple[str, dict, float]]:
         out = []
@@ -323,45 +275,6 @@ class MetricsRegistry:
             n = self._seq.get(prefix, 0) + 1
             self._seq[prefix] = n
             return f"{prefix}{n}"
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every series of ``other`` into this registry (additive).
-
-        The scale-out primitive: worker processes pickle their registries
-        home and the parent merges them, so multi-process exposition shows
-        the same totals a single-process run would have counted.  Matching
-        (name, labels) series merge in place — counters and gauges add,
-        histograms add per-bucket (identical bounds required); series this
-        registry has never seen are copied in.  ``other`` is left untouched.
-        """
-        with other._lock:
-            incoming = list(other._series.items())
-        with self._lock:
-            for key, inst in incoming:
-                mine = self._series.get(key)
-                if mine is None:
-                    # Copy, never adopt: the two registries must not end up
-                    # sharing live mutable instruments across processes.
-                    clone = type(inst).__new__(type(inst))
-                    clone.__setstate__(inst.__getstate__())
-                    self._series[key] = clone
-                elif type(mine).kind == type(inst).kind:
-                    mine.merge(inst)
-                else:
-                    raise ValueError(
-                        f"series {key[0]}{dict(key[1])}: kind mismatch "
-                        f"({mine.kind} vs {inst.kind})")
-            for prefix, n in other._seq.items():
-                self._seq[prefix] = max(self._seq.get(prefix, 0), n)
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {"series": dict(self._series), "seq": dict(self._seq)}
-
-    def __setstate__(self, state: dict) -> None:
-        self._series = state["series"]
-        self._seq = state["seq"]
-        self._lock = threading.RLock()
 
     # -- export --------------------------------------------------------------
 

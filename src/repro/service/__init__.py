@@ -24,7 +24,6 @@ from .resilience import (CircuitBreaker, DegradePolicy, HealthController,
                          JobRetryPolicy, classify_error)
 from .service import (ArrayService, JobHandle, JobPoolView, JobResult,
                       ServiceStats)
-from .workers import WorkerJobSpec, WorkerOutcome, run_worker_job
 
 __all__ = [
     "ArrayService",
@@ -42,7 +41,4 @@ __all__ = [
     "PlanCache",
     "optimization_fingerprint",
     "CountingStore",
-    "WorkerJobSpec",
-    "WorkerOutcome",
-    "run_worker_job",
 ]

@@ -22,9 +22,9 @@ Key namespacing — how many queries coexist in one pool:
 
 * INPUT arrays are stored once per *content* under ``ds_<digest>`` names
   (digest over bytes, dtype, shape and block geometry), so identical inputs
-  of different jobs collide deliberately into shared buffer keys; on the
-  thread backend they are datasets of one
-  :class:`~repro.storage.DatasetCatalog` file, which outlives the service;
+  of different jobs collide deliberately into shared buffer keys; they
+  are datasets of one :class:`~repro.storage.DatasetCatalog` file, which
+  outlives the service;
 * every other array is private under ``<job>__<name>``, so two jobs running
   the same program template never alias their intermediates.
 
@@ -59,8 +59,7 @@ import hashlib
 import threading
 import time
 from collections import deque
-from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Hashable, Mapping
 
@@ -82,7 +81,6 @@ from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
                          HealthController, JobRetryPolicy)
-from .workers import WorkerJobSpec, cleanup_jobdir, run_worker_job
 
 __all__ = ["ArrayService", "JobHandle", "JobResult", "ServiceStats",
            "JobPoolView"]
@@ -102,9 +100,11 @@ class ServiceStats(obs_metrics.StatFields):
 
     #: Whole-job latency buckets (seconds): submit → result, covering
     #: planning + admission wait + every execution attempt.  p50/p99 SLO
-    #: reporting reads these via ``Histogram.quantiles``.
-    _LATENCY_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-                        10.0, 30.0, 60.0, 120.0, 300.0, 600.0)
+    #: reporting reads these via ``Histogram.quantiles``.  Log-linear, four
+    #: buckets per octave from 0.5 ms to 623 s: any quantile estimate lands
+    #: in the bucket of the exact one, so it is off by at most 2^(1/4) - 1
+    #: (19 %) of it wherever the latency falls.
+    _LATENCY_BUCKETS = tuple(0.0005 * 2 ** (k / 4) for k in range(82))
 
     __slots__ = tuple("_" + f for f in _COUNTERS + _GAUGES) + ("job_seconds",)
 
@@ -303,8 +303,7 @@ class ArrayService:
                  shards: int = 1,
                  stripe_bytes: int | None = None,
                  io_pace: float = 0.0,
-                 pace_channels: int | None = None,
-                 backend: str = "threads"):
+                 pace_channels: int | None = None):
         """Scale-out knobs (see docs/service.md "Scaling out"):
 
         * ``shards`` — stripe the service disk across N independent
@@ -313,10 +312,7 @@ class ArrayService:
         * ``io_pace`` / ``pace_channels`` — wall-clock pacing of counted
           I/O and the per-disk cap on concurrent paced transfers (1 models
           one device channel per shard, which is what makes shard counts
-          show up in throughput);
-        * ``backend`` — ``"threads"`` (shared pool + disk, the default) or
-          ``"procs"`` (each admitted job executes in a worker process with
-          a private sharded disk; see :mod:`repro.service.workers`).
+          show up in throughput).
         """
         if memory_cap_bytes <= 0:
             raise ServiceError("memory_cap_bytes must be positive")
@@ -324,26 +320,16 @@ class ArrayService:
             raise ServiceError("workers must be >= 1")
         if prefetch_depth < 0:
             raise ServiceError("prefetch_depth must be >= 0")
-        if backend not in ("threads", "procs"):
-            raise ServiceError(
-                f"unknown backend {backend!r} (known: threads, procs)")
         if shards < 1:
             raise ServiceError("shards must be >= 1")
         self.workdir = Path(workdir)
         self.memory_cap_bytes = int(memory_cap_bytes)
         self.io_model = io_model or IOModel()
-        self.backend = backend
-        self.shards = int(shards)
-        self.stripe_bytes = stripe_bytes
-        self.io_pace = float(io_pace)
-        self.pace_channels = pace_channels
         injector = FaultInjector.transient(seed=faults) \
             if isinstance(faults, int) else faults
-        self._fault_injector = injector
-        self._retry = retry
         if atomic_writes is None:
             atomic_writes = injector is not None
-        self.disk = make_disk(self.workdir, self.shards,
+        self.disk = make_disk(self.workdir, int(shards),
                               stripe_bytes=stripe_bytes,
                               io_model=self.io_model, pace=io_pace,
                               pace_channels=pace_channels,
@@ -382,24 +368,16 @@ class ArrayService:
         for started in [self._executor.submit(barrier.wait)
                         for _ in range(workers)]:
             started.result()
-        # Process backend: driver threads above still run the full pipeline
-        # (plan, admit, retry, accounting); only the admitted execution is
-        # dispatched here.  Sized with the thread pool so every driver can
-        # have a worker.
-        self._worker_count = workers
-        self._workers = ProcessPoolExecutor(max_workers=workers) \
-            if backend == "procs" else None
         self._adm = threading.Condition()
         self._adm_queue: deque[_Ticket] = deque()
         self._admitted = 0
         self._pending = 0
-        self._lock = threading.Lock()  # job naming, tokens, worker pool
+        self._lock = threading.Lock()  # job naming, tokens
         self._job_seq = 0
         self._active: set[str] = set()
         self._tokens: dict[str, CancelToken] = {}
-        # The thread backend's inputs: every dataset in one catalog file on
-        # the shared disk (a worker process ingests into its own disk, and
-        # the catalog creates its file only when first asked).
+        # Every input dataset lives in one catalog file on the shared disk
+        # (the catalog creates its file only when first asked).
         self.catalog = DatasetCatalog(self.disk)
         self._closed = False
         if degrade is True:
@@ -441,8 +419,6 @@ class ArrayService:
             for token in tokens:
                 token.cancel("service shutting down")
         self._executor.shutdown(wait=wait)
-        if self._workers is not None:
-            self._workers.shutdown(wait=wait)
         if wait:
             # Every job has run its own sweep, so what is left are shared
             # dataset blocks nobody will read again — up to the whole cap.
@@ -666,10 +642,7 @@ class ArrayService:
 
     def _store_names(self, job: _Job) -> dict[str, str]:
         """On-disk store name per logical array: the module docstring's
-        "key namespacing" on the shared disk; on a worker's private disk
-        nothing can collide, so logical names are used as-is."""
-        if self._workers is not None:
-            return {lname: lname for lname in job.program.arrays}
+        "key namespacing" on the shared disk."""
         return {
             lname: self._dataset_name(job.inputs[lname], arr)
             if arr.kind is ArrayKind.INPUT else f"{job.key}__{lname}"
@@ -861,59 +834,31 @@ class ArrayService:
             names = self._store_names(job)
             jobdir = self.workdir / "jobs" / job.key
             journaled = job.checkpoint or job.resume
-            if journaled or self._workers is not None:
+            if journaled:
                 jobdir.mkdir(parents=True, exist_ok=True)
-            with obs_trace.span("service.execute", "service", job=job.key,
-                                backend=self.backend):
-                if self._workers is None:
-                    report, outputs, io, exec_plan = run_job(
-                        job.program, job.params, plan, job.inputs, self.disk,
-                        names=names,
-                        catalog=self.catalog,
-                        breaker_for=self.health.breaker_for,
-                        journal_path=jobdir / "execution.journal"
-                        if journaled else None, resume=job.resume,
-                        pool=JobPoolView(self.pool, names, owner=job.key),
-                        plan_exact=job.plan_exact, prefetch_depth=depth,
-                        prefetch_budget_bytes=prefetch_budget,
-                        cancel=job.token)
-                    # A 1000-job run must not accumulate 1000 private
-                    # stores.  A journaled job keeps its own: the journal
-                    # outlives the run, and resuming a finished job replays
-                    # nothing — over fresh stores that would read as zeros.
-                    # Inputs belong to the catalog; an intermediate outside
-                    # disk_arrays() never got a store.
-                    if not journaled:
-                        for lname in exec_plan.disk_arrays():
-                            if job.program.arrays[lname].kind \
-                                    is not ArrayKind.INPUT:
-                                DAFMatrix.remove(self.disk, names[lname])
-                else:
-                    spec = WorkerJobSpec(
-                        job=job.key, program=job.program, params=job.params,
-                        inputs=job.inputs, plan=plan,
-                        plan_exact=job.plan_exact, jobdir=str(jobdir),
-                        shards=self.shards,
-                        stripe_bytes=self.stripe_bytes,
-                        io_model=self.io_model, pace=self.io_pace,
-                        pace_channels=self.pace_channels,
-                        fault_injector=self._fault_injector,
-                        retry=self._retry,
-                        atomic_writes=self.disk.atomic_writes,
-                        checkpoint=job.checkpoint, resume=job.resume,
-                        prefetch_depth=depth,
-                        prefetch_budget_bytes=prefetch_budget,
-                        # The worker's private pool gets the full service
-                        # budget the way an isolated run would; admission
-                        # already charged this job's plan high-water mark
-                        # against the global pie.
-                        pool_cap_bytes=self.memory_cap_bytes,
-                        deadline_remaining=job.token.remaining(),
-                        collect_metrics=obs_metrics.CURRENT is not None)
-                    report, outputs, io = self._run_in_worker(job, spec)
-                    # A 1000-job run must not accumulate 1000 private input
-                    # copies; failed attempts keep theirs for resume-retry.
-                    cleanup_jobdir(jobdir)
+            with obs_trace.span("service.execute", "service", job=job.key):
+                report, outputs, io, exec_plan = run_job(
+                    job.program, job.params, plan, job.inputs, self.disk,
+                    names=names,
+                    catalog=self.catalog,
+                    breaker_for=self.health.breaker_for,
+                    journal_path=jobdir / "execution.journal"
+                    if journaled else None, resume=job.resume,
+                    pool=JobPoolView(self.pool, names, owner=job.key),
+                    plan_exact=job.plan_exact, prefetch_depth=depth,
+                    prefetch_budget_bytes=prefetch_budget,
+                    cancel=job.token)
+                # A 1000-job run must not accumulate 1000 private stores.
+                # A journaled job keeps its own: the journal outlives the
+                # run, and resuming a finished job replays nothing — over
+                # fresh stores that would read as zeros.  Inputs belong to
+                # the catalog; an intermediate outside disk_arrays() never
+                # got a store.
+                if not journaled:
+                    for lname in exec_plan.disk_arrays():
+                        if job.program.arrays[lname].kind \
+                                is not ArrayKind.INPUT:
+                            DAFMatrix.remove(self.disk, names[lname])
 
             # The in-executor report drew on the *disk's* counters —
             # polluted, on the shared disk, by whatever ran concurrently.
@@ -945,15 +890,13 @@ class ArrayService:
                 sp["pool_misses"] = report.pool_misses
                 sp["optimize_seconds"] = opt_seconds
                 sp["admission_wait_seconds"] = wait
-                sp["backend"] = self.backend
             return JobResult(job.key, outputs, report, plan, cache_hit,
                              opt_seconds, wait)
         finally:
             # Crash-or-finish sweep: drop any pins the job still holds,
             # then evict its private blocks so the budget it vacates is
             # actually reusable.  Shared dataset blocks stay — they are the
-            # inter-query sharing capital.  (A worker-process job never
-            # touched this pool: both calls find nothing.)
+            # inter-query sharing capital.
             leaked = self.pool.release_owner(job.key)
             if leaked:
                 self.stats.pins_reclaimed += leaked
@@ -965,46 +908,6 @@ class ArrayService:
                 and k[0].startswith(private_prefix), force=True)
             self.stats.active_jobs -= 1
             self._release_admission(need)
-
-    def _run_in_worker(self, job: _Job, spec: WorkerJobSpec) -> tuple:
-        """Ship one admitted job to the worker pool, merge its accounting
-        home, and return ``(report, outputs, job I/O)`` as ``run_job`` does.
-
-        The spec carries the pinned plan, so the worker never re-plans; a
-        retry attempt ships ``resume=True`` and the worker resumes through
-        the journal in the job directory, exactly like the thread backend.
-        Cancellation is coarser than threads: a cancel flagged mid-attempt
-        lands only if the attempt fails — deadlines, though, are enforced
-        *inside* the worker by its own token, so an expired job dies at its
-        next instance boundary.
-        """
-        job.token.check()
-        workers = self._workers
-        try:
-            outcome = workers.submit(run_worker_job, spec).result()
-        except BrokenExecutor as err:
-            # One dead worker breaks a stdlib pool for good.  Whichever job
-            # notices first swaps in a fresh pool, so only the jobs that
-            # were on the broken one fail.
-            with self._lock:
-                if self._workers is workers and not self._closed:
-                    self._workers = ProcessPoolExecutor(
-                        max_workers=self._worker_count)
-                    workers.shutdown(wait=False)
-            raise ServiceError(
-                f"worker process pool broke while running {job.key!r} "
-                f"(worker crash or OOM)") from err
-        # Merge the worker's accounting home.  With metrics installed the
-        # whole worker registry merges — its disk/pool series carry the
-        # same (name, labels) the thread backend increments directly, so
-        # process-backend exposition totals match.  Without metrics, the
-        # logical disk traffic still folds into the service disk's stats.
-        registry = obs_metrics.CURRENT
-        if outcome.registry is not None and registry is not None:
-            registry.merge(outcome.registry)
-        else:
-            self.disk.stats.merge(outcome.disk_stats)
-        return outcome.report, outcome.outputs, outcome.io
 
     # -- introspection ------------------------------------------------------
 

@@ -113,29 +113,6 @@ class IOStats(obs_metrics.StatFields):
                 setattr(s, f, getattr(self, f))
         return s
 
-    def merge(self, other: "IOStats") -> None:
-        """Fold another holder's totals into this one (atomic per field).
-
-        The scale-out primitive: worker processes return ``IOStats``
-        snapshots and the parent merges them into its live counters, so
-        multi-process totals stay exact rather than sampled.
-        """
-        deltas = {f: getattr(other, f) for f in self._FIELDS
-                  if getattr(other, f)}
-        if deltas:
-            self.add(**deltas)
-
-    # Pickled as a plain field dict: locks, thread-locals and mirror links
-    # are process-private and rebuilt empty on the other side.
-    def __getstate__(self) -> dict:
-        snap = self.snapshot()
-        return {f: getattr(snap, f) for f in self._FIELDS}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        for f, value in state.items():
-            setattr(self, f, value)
-
     def since(self, other: "IOStats") -> "IOStats":
         """Delta relative to an earlier snapshot, as a fresh ``IOStats``.
 

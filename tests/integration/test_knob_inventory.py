@@ -18,7 +18,6 @@ import pytest
 from repro.advisor import AdvisorConfig
 from repro.engine.executor import execute_plan, run_job, run_program
 from repro.service import ArrayService
-from repro.service.workers import WorkerJobSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -39,23 +38,18 @@ INVENTORY = {
         workdir memory_cap_bytes workers io_model plan_cache max_pending
         admission_timeout faults retry atomic_writes max_set_size
         max_candidates prefetch_depth degrade job_timeout job_retry shards
-        stripe_bytes io_pace pace_channels backend""",
+        stripe_bytes io_pace pace_channels""",
     "ArrayService.submit": """
         program params inputs name memory_cap_bytes plan plan_exact
         checkpoint resume admission_timeout workers prefetch_depth timeout
         deadline retry""",
-    "WorkerJobSpec.__slots__": """
-        job program params inputs plan plan_exact jobdir shards stripe_bytes
-        io_model pace pace_channels fault_injector retry atomic_writes
-        checkpoint resume prefetch_depth prefetch_budget_bytes
-        pool_cap_bytes deadline_remaining collect_metrics""",
     "AdvisorConfig.__slots__": """
         jobs memory_cap_bytes prefetch_depth io_model max_set_size
         max_candidates workers plan_cache""",
     "repro serve --help": """
         --help --service-workers --memory-cap --plan-cache --workdir
         --admission-timeout --verify --metrics-out --prefetch --deadline
-        --job-retries --degrade --backend --shards --stripe-bytes --io-pace
+        --job-retries --degrade --shards --stripe-bytes --io-pace
         --pace-channels""",
 }
 
@@ -83,7 +77,6 @@ ACTUAL = {
     "execute_plan": lambda: _params(execute_plan),
     "ArrayService.__init__": lambda: _params(ArrayService.__init__),
     "ArrayService.submit": lambda: _params(ArrayService.submit),
-    "WorkerJobSpec.__slots__": lambda: list(WorkerJobSpec.__slots__),
     "AdvisorConfig.__slots__": lambda: list(AdvisorConfig.__slots__),
     "repro serve --help": _serve_flags,
 }

@@ -40,6 +40,12 @@ class TestInstruments:
         assert series["repro_h_sum"] == 560
         assert series["repro_h_count"] == 4
 
+    def test_histogram_bounds_are_inclusive(self):
+        h = Histogram("repro_h", buckets=(1, 2, 4))
+        for v in (0, 1, 2, 2.0001, 4, 4.5):
+            h.observe(v)
+        assert h.counts == [2, 1, 2, 1]  # le=1, le=2, le=4, +Inf
+
 
 class TestRegistry:
     def test_get_or_create_identity(self):
@@ -148,6 +154,15 @@ class TestThinViews:
         pool.hits += 2
         assert r.snapshot()['repro_pool_hits{pool="pool1"}'] == 2
 
+    def test_iostats_mirror_forwards_named_fields(self):
+        from repro.storage.disk import IOStats
+        logical = IOStats()
+        shard = IOStats()
+        shard.mirror = (logical, ("retries",))
+        shard.add(read_bytes=64, retries=2)
+        assert logical.retries == 2
+        assert logical.read_bytes == 0  # only the named fields forward
+
 
 class TestQuantiles:
     """Histogram quantile extraction (p50/p90/p99 for SLO reporting)."""
@@ -195,79 +210,27 @@ class TestQuantiles:
         assert doc["v"] == metrics.SCHEMA_VERSION
         assert 'repro_lat{op="x"}' in doc["quantiles"]
 
-
-class TestMergeAndPickle:
-    """The scale-out primitive: worker snapshots fold into parent totals."""
-
-    def _worker_registry(self, w: int) -> MetricsRegistry:
-        r = MetricsRegistry()
-        r.counter("repro_jobs", worker=str(w % 2)).inc(3)
-        r.gauge("repro_depth").set(1)
-        h = r.histogram("repro_lat", buckets=(1, 2, 4, 8))
-        for v in (0.5, 1.5, 6.0):
-            h.observe(v)
-        return r
-
-    def test_eight_worker_snapshots_merge_to_exact_totals(self):
-        import pickle
-        parent = MetricsRegistry()
-        for w in range(8):
-            # Round-trip through pickle first: exactly what the process
-            # backend ships home.
-            parent.merge(pickle.loads(pickle.dumps(
-                self._worker_registry(w))))
-        snap = parent.snapshot()
-        assert snap['repro_jobs{worker="0"}'] == 12
-        assert snap['repro_jobs{worker="1"}'] == 12
-        assert snap["repro_depth"] == 8
-        assert snap["repro_lat_count"] == 24
-        assert snap["repro_lat_sum"] == 8 * 8.0
-        assert snap['repro_lat_bucket{le="1"}'] == 8
-        assert snap['repro_lat_bucket{le="+Inf"}'] == 24
-
-    def test_merge_copies_unseen_series(self):
-        parent = MetricsRegistry()
-        other = MetricsRegistry()
-        c = other.counter("repro_new")
-        c.inc(5)
-        parent.merge(other)
-        c.inc(100)  # mutating the source must not leak into the parent
-        assert parent.snapshot()["repro_new"] == 5
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("repro_h", buckets=(1, 2))
-        bh = b.histogram("repro_h", buckets=(1, 4))
-        bh.observe(3)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_advances_seq_counters(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        b.seq("disk"), b.seq("disk")
-        a.merge(b)
-        assert a.seq("disk") == "disk3"
-
-    def test_iostats_merge_and_pickle(self):
-        import pickle
-        from repro.storage.disk import IOStats
-        s = IOStats()
-        s.add(read_bytes=100, read_ops=2, retries=1)
-        clone = pickle.loads(pickle.dumps(s))
-        assert clone.read_bytes == 100 and clone.retries == 1
-        total = IOStats()
-        total.merge(s)
-        total.merge(clone)
-        assert total.read_bytes == 200 and total.read_ops == 4
-        assert total.retries == 2
-
-    def test_iostats_mirror_forwards_named_fields(self):
-        from repro.storage.disk import IOStats
-        logical = IOStats()
-        shard = IOStats()
-        shard.mirror = (logical, ("retries",))
-        shard.add(read_bytes=64, retries=2)
-        assert logical.retries == 2
-        assert logical.read_bytes == 0  # only the named fields forward
+    @pytest.mark.parametrize("shape", ["log_uniform", "pinned", "bimodal"])
+    def test_service_latency_estimates_within_a_bucket_ratio(self, shape):
+        """The service's job-latency buckets are log-linear, four per
+        octave, so p50/p90/p99 read within 2^(1/4) - 1 of the exact
+        percentile anywhere from 1 ms to 30 s."""
+        import numpy as np
+        from repro.service import ServiceStats
+        rng = np.random.default_rng(7)
+        lo, hi = np.log(1e-3), np.log(30.0)
+        if shape == "log_uniform":
+            logs = rng.uniform(lo, hi, 5000)
+        elif shape == "pinned":  # small jobs clustered near 9 ms
+            logs = rng.normal(np.log(9e-3), 0.25, 5000)
+        else:  # fast jobs plus a slow tail
+            logs = np.concatenate([rng.normal(np.log(5e-3), 0.3, 4600),
+                                   rng.normal(np.log(3.0), 0.5, 400)])
+        latencies = np.exp(np.clip(logs, lo, hi))
+        h = Histogram("repro_lat", buckets=ServiceStats._LATENCY_BUCKETS)
+        for v in latencies:
+            h.observe(float(v))
+        bound = 2 ** 0.25 - 1
+        for q in (0.5, 0.9, 0.99):
+            exact = float(np.percentile(latencies, 100 * q))
+            assert abs(h.quantile(q) - exact) <= bound * exact, (q, exact)

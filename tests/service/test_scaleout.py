@@ -1,25 +1,16 @@
-"""Scale-out service: process-pool backend parity and sharded service disk.
+"""Service parity with ``run_program``, its metrics, and a sharded disk.
 
-The acceptance bars from ISSUE 10:
-
-* ``backend="procs"`` produces outputs byte-identical to the thread
-  backend, with identical per-job I/O attribution on plan-exact jobs;
-* worker metrics merge into the parent registry so process-backend totals
-  land on the very series the thread backend increments;
-* faults + retry-with-resume, deadlines, and shards compose with the
-  process backend;
+* a service job produces outputs byte-identical to ``run_program``, with
+  identical per-job I/O attribution on plan-exact jobs;
+* an installed registry sees the service's disk and latency series;
 * the service disk stripes across shards with unchanged results.
 """
-
-import os
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
 
-from repro import (add_multiply_program, optimize, reference_outputs,
-                   run_program)
-from repro.exceptions import DeadlineExceeded, ServiceError
+from repro import add_multiply_program, optimize, run_program
+from repro.exceptions import ServiceError
 from repro.obs import metrics as obs_metrics
 from repro.ops import Pipeline
 from repro.service import ArrayService, classify_error
@@ -77,36 +68,35 @@ def typed(prog, best_plan):
 
 
 def _run_via(runner, prog, plan, inputs, workdir):
-    """One plan-exact job through ``run_program`` or a service backend;
+    """One plan-exact job through ``run_program`` or the service;
     returns (outputs, counted I/O)."""
     if runner == "run_program":
         report, outputs = run_program(prog, P, plan, workdir, inputs,
                                       plan_exact=True, validate=True)
         assert report.validation.passed, report.validation.failures()
         return outputs, report.io
-    with ArrayService(workdir, memory_cap_bytes=4 * CAP, workers=2,
-                      backend=runner) as svc:
+    with ArrayService(workdir, memory_cap_bytes=4 * CAP, workers=2) as svc:
         r = svc.submit(prog, P, inputs, plan=plan,
                        plan_exact=True).result(timeout=180)
     return r.outputs, r.report.io
 
 
-class TestProcsParity:
+class TestRunnerParity:
     @pytest.mark.parametrize("dtype_bytes", [8, 4])
     def test_outputs_and_attribution_match_threads(self, typed, tmp_path,
                                                    dtype_bytes):
-        """``run_program``, the thread backend and the process backend run
-        a job through one function: same outputs, same counted I/O, and that
-        I/O is the plan's — in either element width."""
+        """``run_program`` and the service run a job through one function:
+        same outputs, same counted I/O, and that I/O is the plan's — in
+        either element width."""
         prog, plan = typed[dtype_bytes]
         runs = {}
         for seed in (0, 1):
-            for runner in ("run_program", "threads", "procs"):
+            for runner in ("run_program", "service"):
                 runs[runner, seed] = _run_via(
                     runner, prog, plan, _inputs(prog, seed),
                     tmp_path / f"{runner}{seed}")
         for (runner, seed), (outputs, io) in runs.items():
-            base_outputs, base_io = runs["threads", seed]
+            base_outputs, base_io = runs["service", seed]
             assert outputs.keys() == base_outputs.keys()
             for name in outputs:
                 assert np.array_equal(outputs[name], base_outputs[name])
@@ -117,14 +107,12 @@ class TestProcsParity:
             assert io.read_bytes == plan.cost.read_bytes
             assert io.write_bytes == plan.cost.write_bytes
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_missing_input_is_a_permanent_service_error(self, prog,
-                                                        best_plan, tmp_path,
-                                                        backend):
+                                                        best_plan, tmp_path):
         inputs = _inputs(prog, 0)
         del inputs["B"]
         with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          backend=backend, job_retry=3) as svc:
+                          job_retry=3) as svc:
             with pytest.raises(ServiceError) as err:
                 svc.submit(prog, P, inputs, plan=best_plan).result(
                     timeout=180)
@@ -133,125 +121,33 @@ class TestProcsParity:
             assert svc.stats.retries_attempted == 0
             assert svc.stats.jobs_failed == 1
 
-    def test_procs_numerically_correct(self, prog, best_plan, tmp_path):
-        inputs = _inputs(prog, 3)
-        expected = reference_outputs(prog, P, inputs)
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP,
-                          backend="procs") as svc:
-            r = svc.submit(prog, P, inputs, plan=best_plan).result(
-                timeout=180)
-        for name in r.outputs:
-            assert np.allclose(r.outputs[name], expected[name])
 
-    def test_procs_over_sharded_worker_disks(self, prog, best_plan,
-                                             tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=2,
-                          backend="procs", shards=2,
-                          stripe_bytes=8192) as svc:
-            results = _run(svc, prog, (4, 5), best_plan)
-        for seed, r in zip((4, 5), results):
-            expected = reference_outputs(prog, P, _inputs(prog, seed))
-            assert r.outputs
-            for name in r.outputs:
-                assert np.allclose(r.outputs[name], expected[name])
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ServiceError):
-            ArrayService(tmp_path, memory_cap_bytes=CAP, backend="mpi")
-
-
-class TestProcsMetricsMerge:
-    def test_worker_series_land_on_parent_registry(self, prog, best_plan,
+class TestServiceMetrics:
+    def test_job_series_land_on_installed_registry(self, prog, best_plan,
                                                    tmp_path):
-        reg_t = obs_metrics.MetricsRegistry()
-        obs_metrics.install(reg_t)
-        with ArrayService(tmp_path / "t", memory_cap_bytes=4 * CAP,
+        reg = obs_metrics.MetricsRegistry()
+        obs_metrics.install(reg)
+        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP,
                           workers=1) as svc:
             _run(svc, prog, (0, 1), best_plan)
-        snap_t = reg_t.snapshot()
-        obs_metrics.uninstall()
+        snap = reg.snapshot()
 
-        reg_p = obs_metrics.MetricsRegistry()
-        obs_metrics.install(reg_p)
-        with ArrayService(tmp_path / "p", memory_cap_bytes=4 * CAP,
-                          workers=1, backend="procs") as svc:
-            _run(svc, prog, (0, 1), best_plan)
-        snap_p = reg_p.snapshot()
-
-        key = 'repro_io_read_bytes{disk="disk1"}'
-        assert snap_p[key] == snap_t[key] > 0
-        # Latency histogram is populated either way.
-        counts = [v for k, v in snap_p.items()
+        assert snap['repro_io_read_bytes{disk="disk1"}'] > 0
+        counts = [v for k, v in snap.items()
                   if k.startswith("repro_service_job_seconds_count")]
         assert counts == [2]
-        q = reg_p.quantiles()
+        q = reg.quantiles()
         assert any(k.startswith("repro_service_job_seconds") for k in q)
-
-    def test_procs_without_registry_merge_into_disk_stats(self, prog,
-                                                          best_plan,
-                                                          tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          backend="procs") as svc:
-            r = svc.submit(prog, P, _inputs(prog, 0),
-                           plan=best_plan).result(timeout=180)
-            # Worker traffic folded into the service disk's stats.
-            assert svc.disk.stats.read_bytes >= r.report.io.read_bytes
-            assert svc.disk.stats.write_bytes > 0
-
-
-class TestProcsResilience:
-    def test_faults_with_job_retry(self, prog, best_plan, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          backend="procs", faults=13,
-                          job_retry=3) as svc:
-            r = svc.submit(prog, P, _inputs(prog, 6),
-                           plan=best_plan).result(timeout=180)
-        expected = reference_outputs(prog, P, _inputs(prog, 6))
-        assert r.outputs
-        for name in r.outputs:
-            assert np.allclose(r.outputs[name], expected[name])
-
-    def test_deadline_enforced_inside_worker(self, prog, best_plan,
-                                             tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          backend="procs", io_pace=200.0,
-                          job_timeout=0.2) as svc:
-            fut = svc.submit(prog, P, _inputs(prog, 7), plan=best_plan)
-            with pytest.raises(DeadlineExceeded):
-                fut.result(timeout=180)
-
-
-    def test_dead_worker_does_not_break_later_jobs(self, prog, best_plan,
-                                                   tmp_path):
-        def kill_a_worker(svc):
-            with pytest.raises(BrokenExecutor):
-                svc._workers.submit(os._exit, 1).result(timeout=60)
-
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          backend="procs") as svc:
-            for seed in (0, 1):  # a second break is handled like the first
-                kill_a_worker(svc)
-                with pytest.raises(ServiceError):
-                    svc.submit(prog, P, _inputs(prog, seed),
-                               plan=best_plan).result(timeout=180)
-                r = svc.submit(prog, P, _inputs(prog, seed),
-                               plan=best_plan).result(timeout=180)
-                expected = reference_outputs(prog, P, _inputs(prog, seed))
-                for name in r.outputs:
-                    assert np.allclose(r.outputs[name], expected[name])
-            assert svc.stats.jobs_failed == 2
-            assert svc.stats.jobs_completed == 2
 
 
 class TestShardedServiceDisk:
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
     def test_results_unchanged_on_sharded_disk(self, prog, best_plan,
-                                               tmp_path, backend):
+                                               tmp_path):
         with ArrayService(tmp_path / "s1", memory_cap_bytes=4 * CAP,
-                          workers=2, backend=backend) as svc:
+                          workers=2) as svc:
             base = _run(svc, prog, (8, 9), best_plan)
         with ArrayService(tmp_path / "s4", memory_cap_bytes=4 * CAP,
-                          workers=2, backend=backend, shards=4) as svc:
+                          workers=2, shards=4) as svc:
             sharded = _run(svc, prog, (8, 9), best_plan)
         for b, s in zip(base, sharded):
             for name in b.outputs:
