@@ -506,8 +506,10 @@ def _serve(args) -> int:
             if svc.plan_cache is not None:
                 pc = svc.plan_cache
                 print(f"plan cache: {pc.hits} hits ({pc.memory_hits} from "
-                      f"memory), {pc.misses} misses, {pc.invalidations} "
-                      f"invalidations, {len(pc)} plans stored")
+                      f"memory), {pc.misses} misses ({pc.structure_hits} "
+                      f"re-costed from another block size), "
+                      f"{pc.invalidations} invalidations, {len(pc)} plans "
+                      f"stored")
         return failures
 
     try:

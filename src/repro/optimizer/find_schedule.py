@@ -291,15 +291,16 @@ class _Searcher:
 
     def _witness(self, poly: Polyhedron) -> tuple[int, ...] | None:
         """Integer witness of ``poly`` (small grid sample, then branch and
-        bound).  Keyed by the polyhedron's structural identity in the shared
-        constraint cache: overlapping candidate sets re-derive the same
-        branch polyhedra, and integer-point search is the dominant cost.
+        bound unless the sample proved there is none).  Keyed by the
+        polyhedron's structural identity in the shared constraint cache:
+        overlapping candidate sets re-derive the same branch polyhedra, and
+        integer-point search is the dominant cost.
         The key is the raw constraint tuples, not the Polyhedron itself —
         its ``__eq__`` is semantic (a pair of subset LPs), far costlier
         than the lookup it would serve."""
         def build():
-            point = poly.sample_small_integer_point()
-            return point if point is not None else poly.find_integer_point()
+            point, decided = poly.small_integer_sample()
+            return point if decided else poly.find_integer_point()
         return self.cache.memo(
             ("witness", poly.space.names, poly.eqs, poly.ineqs), build)
 

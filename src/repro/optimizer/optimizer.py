@@ -122,7 +122,8 @@ class Optimizer:
 
         ``plan_cache`` (any object with the
         :class:`repro.service.PlanCache` ``fingerprint``/``lookup``/
-        ``insert`` protocol) short-circuits the search, and is asked *before*
+        ``insert`` and ``structure_key``/``lattice``/``keep_lattice``
+        protocol) short-circuits the search, and is asked *before*
         the analysis runs: a cached best plan for this exact
         (program, params, memory cap, knobs) fingerprint is returned
         without evaluating a single Apriori candidate
@@ -131,6 +132,15 @@ class Optimizer:
         hash, a ``stat`` and a dict lookup, from its disk tier the cache
         re-analyzes and re-costs.  A miss runs the analysis and the search
         and hands the winner *and* the analysis to the cache for next time.
+
+        The cache's structure tier covers a program it has searched at
+        other block sizes: the walk reads no geometry, so on a fingerprint
+        miss whose :func:`~repro.service.plan_cache.structure_key` hits
+        (and whose fresh analysis finds the same opportunities) the stored
+        feasible sets and schedules are re-costed instead of searched — the
+        same plan list a cold search returns, with
+        ``stats.candidates_tested == 0`` and ``cache_hit`` false.  A
+        ``prune`` walk neither reads nor fills that tier.
         """
         if workers is not None and workers < 1:
             raise OptimizationError(f"workers must be >= 1, got {workers}")
@@ -167,21 +177,40 @@ class Optimizer:
                 sp["opportunities"] = len(analysis.opportunities)
             evaluate = partial(evaluate_plan, self.program, dict(params),
                                io_model=self.io_model, **cost_knobs)
-            if workers is not None and workers > 1:
-                scope = ParallelOptimizerPool(analysis, evaluate, workers)
-            else:
-                scope = nullcontext(SerialRunner(analysis, evaluate=evaluate))
-            with scope as runner, \
-                    obs_trace.span("optimize.search", "optimizer"):
-                bound = IOBound(self.program, params, self.io_model,
-                                analysis.opportunities,
-                                **cost_knobs) if prune else None
-                found, stats = search(analysis, runner,
-                                      max_set_size=max_set_size,
-                                      max_candidates=max_candidates,
-                                      bound=bound,
-                                      memory_cap_bytes=memory_cap_bytes)
             by_index = {o.index: o for o in analysis.opportunities}
+            structure = lattice = None
+            if plan_cache is not None and not prune:
+                structure = plan_cache.structure_key(
+                    self.program, params, max_set_size, max_candidates)
+                labels = tuple((o.label, o.reduced)
+                               for o in analysis.opportunities)
+                lattice = plan_cache.lattice(structure, labels)
+                top["structure_hit"] = lattice is not None
+            if lattice is not None:
+                with obs_trace.span("optimize.recost", "optimizer"):
+                    found = [(idx_set, schedule, evaluate(
+                        schedule, [by_index[j] for j in sorted(idx_set)]))
+                        for idx_set, schedule in lattice]
+                stats = AprioriStats()
+            else:
+                if workers is not None and workers > 1:
+                    scope = ParallelOptimizerPool(analysis, evaluate, workers)
+                else:
+                    scope = nullcontext(SerialRunner(analysis,
+                                                     evaluate=evaluate))
+                with scope as runner, \
+                        obs_trace.span("optimize.search", "optimizer"):
+                    bound = IOBound(self.program, params, self.io_model,
+                                    analysis.opportunities,
+                                    **cost_knobs) if prune else None
+                    found, stats = search(analysis, runner,
+                                          max_set_size=max_set_size,
+                                          max_candidates=max_candidates,
+                                          bound=bound,
+                                          memory_cap_bytes=memory_cap_bytes)
+                if structure is not None:
+                    plan_cache.keep_lattice(structure, labels, [
+                        (idx_set, schedule) for idx_set, schedule, _ in found])
             plans = [Plan(i, schedule, [by_index[j] for j in sorted(idx_set)],
                           cost)
                      for i, (idx_set, schedule, cost) in enumerate(found)]

@@ -388,13 +388,25 @@ class Polyhedron:
 
     def sample_small_integer_point(self, grid_cap: int = 300_000
                                    ) -> tuple[int, ...] | None:
-        """An integer point with small coordinates, found without B&B.
+        """An integer point with small coordinates, found without B&B, or
+        ``None`` — see :meth:`small_integer_sample`."""
+        return self.small_integer_sample(grid_cap)[0]
+
+    def small_integer_sample(self, grid_cap: int = 300_000
+                             ) -> tuple[tuple[int, ...] | None, bool]:
+        """``(point, decided)``: an integer point with small coordinates,
+        found without B&B, and whether the answer is final.
 
         Strategy: substitute away +-1-pivot equality variables (exactly
         integer-preserving), grid-enumerate the remaining free variables
         within their bounds preferring points close to the origin, and
-        back-substitute.  Returns None when the reduced grid is unbounded or
-        too large — callers then fall back to :meth:`find_integer_point`.
+        back-substitute.  ``(None, True)`` is a proof that there is no
+        integer point: a contradictory row after substitution, a variable
+        fixed to a non-integer, an empty bound interval, or an empty grid
+        (the bounds hold for every integer point, and the grid filter
+        applies every constraint exactly).  ``(None, False)`` means the
+        sampler did not decide — the reduced grid is unbounded or too large
+        — and callers fall back to :meth:`find_integer_point`.
 
         Intended for schedule-coefficient polyhedra, which are mostly
         equalities plus a small coefficient box.
@@ -417,14 +429,14 @@ class Polyhedron:
             elim.append((j, prow))
         for r in eqs:
             if not any(r[k] for k in range(n)) and r[-1] != 0:
-                return None  # inconsistent
+                return None, True  # inconsistent
         for r in ineqs:
             if not any(r[k] for k in range(n)) and r[-1] < 0:
-                return None
+                return None, True
 
         free = [j for j in range(n) if j not in eliminated]
         if len(free) > 12:
-            return None  # grid would be hopeless; let the caller use B&B
+            return None, False  # grid would be hopeless; the caller uses B&B
         red_eqs = [[r[j] for j in free] + [r[-1]] for r in eqs]
         red_ineqs = [[r[j] for j in free] + [r[-1]] for r in ineqs]
         # Cheap syntactic bounds: unit rows only (the coefficient box the
@@ -447,16 +459,16 @@ class Polyhedron:
                 if r[col] != 0 and not any(r[k] for k in range(len(free)) if k != col):
                     v = Fraction(-r[-1], r[col])
                     if v.denominator != 1:
-                        return None
+                        return None, True
                     lo = hi = int(v)
             if lo is None or hi is None:
-                return None
+                return None, False
             if hi < lo:
-                return None
+                return None, True
             bounds.append((lo, hi))
             volume *= hi - lo + 1
             if volume > grid_cap:
-                return None
+                return None, False
         reduced = Polyhedron(Space([self.space.names[j] for j in free]),
                              red_eqs, red_ineqs)
         axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
@@ -472,7 +484,10 @@ class Polyhedron:
             mask &= pts @ np.asarray(row[:-1], dtype=np.int64) + row[-1] >= 0
         kept = pts[mask]
         if len(kept) == 0:
-            return None
+            # A proof only if no row can have overflowed int64 on the grid.
+            reach = max((max(-lo, hi) for lo, hi in bounds), default=0)
+            return None, all(sum(map(abs, r[:-1])) * reach + abs(r[-1])
+                             < 2 ** 63 for r in reduced.eqs + reduced.ineqs)
         l1 = np.abs(kept).sum(axis=1)
         minimal = kept[l1 == l1.min()]
         # Tie-break toward nonnegative coefficients (nicer generated code).
@@ -487,8 +502,8 @@ class Polyhedron:
                     total += prow[k] * full[k]
             full[j] = -total * prow[j]  # prow[j] in {1, -1}: 1/p == p
         if not self.contains_point(full):
-            return None
-        return tuple(full)
+            return None, False
+        return tuple(full), True
 
     # -- bounds and enumeration ---------------------------------------------------
 

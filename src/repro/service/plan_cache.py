@@ -2,7 +2,8 @@
 
 The §5.4 Remark observes that the Apriori schedule search and its
 evaluation "need to be done only once for a given program template".  The
-service turns that into a cache with two tiers under one fingerprint:
+service turns that into a cache with two tiers under one fingerprint, and a
+third under the program's structure:
 
 * **On disk**, one ``<fingerprint>.json`` per entry, written atomically
   (temp + ``os.rename``), so a cache directory shared by concurrent workers
@@ -22,6 +23,19 @@ service turns that into a cache with two tiers under one fingerprint:
   entry is dropped, counted as an *invalidation*, and the lookup falls
   through to the disk tier — a deleted, truncated, corrupted or replaced
   entry file is never served from memory.
+* **Structure**, in memory only, under :func:`structure_key`: the
+  fingerprint's program signature without any array's ``block_shape`` or
+  ``dtype_bytes``, plus the parameter binding, ``max_set_size`` and
+  ``max_candidates``.  It maps to what an exhaustive walk found — the
+  analysis's opportunities and the feasible ``(set, schedule)`` list, in
+  test order.  Block geometry enters only the costing, so on a fingerprint
+  miss for a known program at a new block size
+  :meth:`~repro.optimizer.Optimizer.optimize` analyzes the program and
+  re-costs that list instead of walking the lattice again (when the
+  opportunities match; otherwise it searches cold and replaces the entry).
+  A bound-pruned walk skips costings and can stop early, so it neither
+  fills nor reads this tier, and an entry file that fails to load empties
+  it.  It shares the lock and the LRU bound of the memory tier.
 
 Keying is structural, not nominal: the fingerprint digests the program's
 parameter context, arrays, statements, iteration domains (normalized
@@ -47,13 +61,13 @@ from typing import Mapping
 
 from ..analysis import ProgramAnalysis, analyze
 from ..exceptions import ReproError
-from ..ir import Program
+from ..ir import Program, Schedule
 from ..obs import metrics as obs_metrics
 from ..optimizer import IOModel
 from ..optimizer.plan import Plan
 from ..persist import load_plan, save_plan
 
-__all__ = ["PlanCache", "optimization_fingerprint"]
+__all__ = ["PlanCache", "optimization_fingerprint", "structure_key"]
 
 #: Entries the in-memory tier keeps per :class:`PlanCache` (LRU beyond it).
 #: An entry is one plan plus the analysis it was costed against — ≈50 KB
@@ -72,18 +86,19 @@ def _polyhedron_signature(poly) -> dict:
     }
 
 
-def _program_signature(program: Program) -> dict:
-    """Canonical JSON-able structure of everything the optimizer sees."""
+def _program_signature(program: Program, geometry: bool = True) -> dict:
+    """Canonical JSON-able structure of everything the optimizer sees;
+    without ``geometry``, of everything but the block sizes, which only the
+    costing reads."""
     arrays = []
     for name in sorted(program.arrays):
         arr = program.arrays[name]
-        arrays.append({
-            "name": arr.name,
-            "dims": [str(d) for d in arr.dims],
-            "block_shape": list(arr.block_shape),
-            "dtype_bytes": arr.dtype_bytes,
-            "kind": arr.kind.value,
-        })
+        sig = {"name": arr.name, "dims": [str(d) for d in arr.dims],
+               "kind": arr.kind.value}
+        if geometry:
+            sig.update(block_shape=list(arr.block_shape),
+                       dtype_bytes=arr.dtype_bytes)
+        arrays.append(sig)
     statements = []
     for stmt in program.statements:
         accesses = []
@@ -129,6 +144,23 @@ def optimization_fingerprint(program: Program, params: Mapping[str, int],
         "knobs": {k: (sorted(v.items()) if isinstance(v, dict) else v)
                   for k, v in sorted(knobs.items()) if v is not None},
     }
+    return _digest(payload)
+
+
+def structure_key(program: Program, params: Mapping[str, int],
+                  max_set_size: int | None = None,
+                  max_candidates: int | None = None) -> str:
+    """SHA-256 over everything the exhaustive Apriori walk reads: the
+    program without its block geometry, the binding and the walk's bounds.
+    The memory cap, the I/O model and the costing knobs are left out."""
+    return _digest({
+        "program": _program_signature(program, geometry=False),
+        "bindings": {k: int(v) for k, v in sorted(params.items())},
+        "max_set_size": max_set_size, "max_candidates": max_candidates,
+    })
+
+
+def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -153,10 +185,11 @@ class PlanCache(obs_metrics.StatFields):
 
     ``hits``/``misses``/``stores`` count lookups and stores whichever tier
     served them; ``memory_hits`` is the share of ``hits`` that needed no
-    analysis, and ``invalidations`` counts memory entries dropped because
-    the entry file was no longer the one they came from.  All are thin
-    views over metrics counters (the service exposes them in its
-    exposition dump); :meth:`bind` adopts them into a registry, done
+    analysis, ``invalidations`` counts memory entries dropped because the
+    entry file was no longer the one they came from, and
+    ``structure_hits`` counts misses re-costed from the structure tier.
+    All are thin views over metrics counters (the service exposes them in
+    its exposition dump); :meth:`bind` adopts them into a registry, done
     automatically when one is installed.
 
     :meth:`load` and :meth:`store` compute the fingerprint from the program
@@ -166,9 +199,11 @@ class PlanCache(obs_metrics.StatFields):
     search ran on, ``lookup`` returns the one the plan is costed against.
     """
 
-    _COUNTERS = ("hits", "misses", "stores", "memory_hits", "invalidations")
+    _COUNTERS = ("hits", "misses", "stores", "memory_hits", "invalidations",
+                 "structure_hits")
 
     fingerprint = staticmethod(optimization_fingerprint)
+    structure_key = staticmethod(structure_key)
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
@@ -177,6 +212,8 @@ class PlanCache(obs_metrics.StatFields):
         self._lock = threading.Lock()
         # fingerprint -> ((plan, analysis), stat signature), oldest first.
         self._memory: "OrderedDict[str, tuple[tuple, tuple]]" = OrderedDict()
+        # structure key -> (opportunity labels, [(set, schedule), ...]).
+        self._lattices: "OrderedDict[str, tuple[tuple, list]]" = OrderedDict()
         registry = obs_metrics.CURRENT
         if registry is not None:
             self.bind(registry, cache=registry.seq("plan_cache"))
@@ -241,6 +278,11 @@ class PlanCache(obs_metrics.StatFields):
         except (ReproError, OSError, ValueError, KeyError):
             with self._lock:
                 self._misses.value += 1
+                # The file is damaged, or the fingerprint missed something
+                # the analysis reads.  The structure key signs less than
+                # the fingerprint, so its tier is not trusted either: the
+                # next search of any program here runs cold.
+                self._lattices.clear()
             return None
         with self._lock:
             self._hits.value += 1
@@ -293,6 +335,34 @@ class PlanCache(obs_metrics.StatFields):
                 self._remember(fingerprint, plan, analysis, signature)
         return path
 
+    # -- the structure tier --------------------------------------------------------
+
+    def lattice(self, key: str, labels: tuple
+                ) -> "list[tuple[frozenset[int], Schedule]] | None":
+        """The feasible sets and schedules, in test order, of the walk
+        stored under ``key`` — if its analysis found the same ``labels``
+        (each opportunity's label and ``reduced`` flag, in order); ``None``
+        otherwise.  A hit counts in ``structure_hits``.  The schedules are
+        shared, not copied: nothing mutates a ``Schedule`` once the search
+        has made it."""
+        with self._lock:
+            entry = self._lattices.get(key)
+            if entry is None or entry[0] != labels:
+                return None
+            self._lattices.move_to_end(key)
+            self._structure_hits.value += 1
+            return entry[1]
+
+    def keep_lattice(self, key: str, labels: tuple,
+                     found: "list[tuple[frozenset[int], Schedule]]") -> None:
+        """Store an exhaustive walk's feasible sets and schedules under
+        ``key``, replacing whatever was there."""
+        with self._lock:
+            self._lattices[key] = (labels, found)
+            self._lattices.move_to_end(key)
+            while len(self._lattices) > MEMORY_ENTRIES:
+                self._lattices.popitem(last=False)
+
     # -- introspection -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -301,6 +371,7 @@ class PlanCache(obs_metrics.StatFields):
     def clear(self) -> int:
         with self._lock:
             self._memory.clear()
+            self._lattices.clear()
         n = 0
         for path in self.root.glob("*.json"):
             path.unlink()

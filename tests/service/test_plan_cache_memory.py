@@ -392,3 +392,16 @@ class TestFingerprintCoversTheIR:
         for (cls, field), program in mutants.items():
             assert optimization_fingerprint(program, P, CAP) != base, \
                 f"{cls.__name__}.{field} is not under the fingerprint"
+
+    #: The structure tier's key signs every slot the fingerprint signs but
+    #: these: only the costing reads the block geometry.
+    GEOMETRY = {(Array, "block_shape"), (Array, "dtype_bytes")}
+
+    def test_structure_key_signs_all_but_the_geometry(self, prog):
+        key = plan_cache_mod.structure_key
+        base_fp, base_key = optimization_fingerprint(prog, P, CAP), key(prog, P)
+        for (cls, field), program in self._mutants().items():
+            where = f"{cls.__name__}.{field}"
+            assert optimization_fingerprint(program, P, CAP) != base_fp, where
+            assert (key(program, P) != base_key) is \
+                ((cls, field) not in self.GEOMETRY), where
