@@ -38,8 +38,7 @@ Quickstart::
 """
 
 from . import advisor, obs
-from .advisor import (AdvisorConfig, JobSpec, Recommendation,
-                      WorkloadProfile, WorkloadSpec)
+from .advisor import AdvisorConfig, Recommendation, WorkloadProfile
 from .analysis import analyze
 from .codegen import build_executable_plan, render_c
 from .engine import reference_outputs, run_program
@@ -49,7 +48,7 @@ from .ops import (Pipeline, add_multiply_program, linreg_program,
                   two_matmul_program)
 from .optimizer import IOModel, OptimizationResult, Plan, optimize
 from .service import (ArrayService, DegradePolicy, JobHandle, JobResult,
-                      JobRetryPolicy, PlanCache)
+                      JobRetryPolicy, JobSpec, PlanCache, WorkloadSpec)
 from .workloads import (add_multiply_config, generate_inputs, linreg_config,
                         two_matmul_config)
 

@@ -27,6 +27,7 @@ The single-program :class:`BlockSizeAdvisor` (paper §7 / Figure 3(a))
 lives on in :mod:`~repro.advisor.blocksize`.
 """
 
+from ..service.jobs import BUILDERS, JobSpec, WorkloadSpec, generate_input
 from .analyzers import (ANALYZERS, AdvisorContext, Analyzer,
                         BlockGeometryAnalyzer, MaterializationAnalyzer,
                         MemoryBudgetAnalyzer, PrefetchAnalyzer,
@@ -36,8 +37,7 @@ from .apply import (AdvisorConfig, apply_recommendations, measured_io_bytes,
 from .blocksize import BlockSizeAdvisor, BlockSizeChoice
 from .recommendations import ACTION_TYPES, Recommendation, rank
 from .report import REPORT_VERSION, render_report, report_doc, write_report
-from .workload import (BUILDERS, GEOMETRY_AXES, JobProfile, JobSpec,
-                       WorkloadProfile, WorkloadSpec, generate_input,
+from .workload import (GEOMETRY_AXES, JobProfile, WorkloadProfile,
                        geometry_candidates, load_metrics, load_trace,
                        materialization_split, rescale_geometry)
 

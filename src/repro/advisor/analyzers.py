@@ -30,9 +30,10 @@ from typing import Iterable, Mapping, Sequence
 from ..exceptions import OptimizationError
 from ..obs import metrics as obs_metrics
 from ..optimizer import Optimizer, Plan
+from ..service.jobs import JobSpec
 from .apply import AdvisorConfig
 from .recommendations import Recommendation, rank
-from .workload import JobSpec, WorkloadProfile, geometry_candidates, \
+from .workload import WorkloadProfile, geometry_candidates, \
     materialization_split
 
 __all__ = ["AdvisorContext", "Analyzer", "BlockGeometryAnalyzer",

@@ -29,16 +29,17 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..exceptions import AdvisorError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..optimizer import IOModel
 from ..service import ArrayService
+from ..service.jobs import JobSpec, WorkloadSpec, submit_job
 from .recommendations import Recommendation
-from .workload import (JobSpec, WorkloadProfile, WorkloadSpec, generate_input,
-                       materialization_split, rescale_geometry)
+from .workload import (WorkloadProfile, materialization_split,
+                       rescale_geometry)
 
 __all__ = ["AdvisorConfig", "apply_recommendations", "run_workload",
            "measured_io_bytes", "validate_recommendations"]
@@ -183,14 +184,7 @@ def run_workload(config: AdvisorConfig, workdir: str | os.PathLike,
 
     producers = [j for j in config.jobs if j.program_obj is not None
                  and not j.inputs_from]
-    producer_names = {j.name for j in producers}
-    consumers = [j for j in config.jobs if j.name not in producer_names]
-    for job in consumers:
-        for array, src in job.inputs_from.items():
-            if src not in producer_names:
-                raise AdvisorError(
-                    f"job {job.name!r} wants {array!r} from unknown "
-                    f"producer {src!r}")
+    consumers = [j for j in config.jobs if j not in producers]
 
     with obs_trace.use(tracer), obs_metrics.use(registry):
         with ArrayService(workdir, memory_cap_bytes=config.memory_cap_bytes,
@@ -202,39 +196,15 @@ def run_workload(config: AdvisorConfig, workdir: str | os.PathLike,
                           prefetch_depth=config.prefetch_depth) as svc:
             produced: dict[str, dict] = {}
             for job in producers:
-                res = _submit(svc, job, {}).result()
-                produced[job.name] = res.outputs
-            handles = [(_submit(svc, job, produced), job)
-                       for job in consumers]
-            for handle, job in handles:
+                produced[job.name] = submit_job(svc, job).result().outputs
+            handles = [submit_job(svc, job, produced) for job in consumers]
+            for handle in handles:
                 handle.result()
         tracer.close()
     profile = WorkloadProfile.from_run(tracer, registry)
     if metrics_path is not None:
         registry.write_snapshot(metrics_path)
     return profile
-
-
-def _submit(svc: ArrayService, job: JobSpec, produced: Mapping[str, dict]):
-    program = job.build_program()
-    inputs = {}
-    for name, arr in program.arrays.items():
-        if arr.kind.value != "input":
-            continue
-        src = job.inputs_from.get(name)
-        if src is not None:
-            try:
-                inputs[name] = produced[src][name]
-            except KeyError as err:
-                raise AdvisorError(
-                    f"producer {src!r} did not output {name!r} "
-                    f"for job {job.name!r}") from err
-        else:
-            inputs[name] = generate_input(arr, job.params,
-                                          job.seed_for(name), name)
-    return svc.submit(program, job.params, inputs, name=job.name,
-                      plan_exact=job.plan_exact,
-                      memory_cap_bytes=job.memory_cap)
 
 
 def measured_io_bytes(profile: WorkloadProfile) -> int:

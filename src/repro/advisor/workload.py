@@ -1,12 +1,9 @@
-"""Workload ingestion for the advisor: specs, profiles, program surgery.
+"""Workload ingestion for the advisor: profiles, geometry, program surgery.
 
-Two complementary views of "a workload" live here:
+The re-runnable side of a workload is the service's job file
+(:mod:`repro.service.jobs`), since traces carry neither seeds nor input
+data.  Here:
 
-* :class:`WorkloadSpec` — the *re-runnable* description: a list of
-  :class:`JobSpec` entries (program template + builder arguments + parameter
-  binding + input seeds).  This is what the apply/validate pipeline needs,
-  because observed traces carry neither seeds nor input data.  Specs
-  round-trip through the same JSONL shape ``python -m repro serve`` reads.
 * :class:`WorkloadProfile` — the *observed* signal: per-job attributed I/O,
   per-array access totals, per-program frequency × optimization
   fingerprint, pool hit rates, admission waits, prefetch stage/wait ratios,
@@ -29,30 +26,20 @@ Also here, because the analyzers and the apply step both need them:
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from ..exceptions import AdvisorError, ProgramError
 from ..ir import ArrayKind, Program
 from ..ir.program import Access, Array, Statement
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..ops import add_multiply_program, linreg_program, two_matmul_program
+from ..service.jobs import JobSpec
 
-__all__ = ["BUILDERS", "GEOMETRY_AXES", "JobSpec", "WorkloadSpec",
-           "WorkloadProfile", "JobProfile", "generate_input",
+__all__ = ["GEOMETRY_AXES", "WorkloadProfile", "JobProfile",
            "rescale_geometry", "geometry_candidates", "materialization_split",
            "load_trace", "load_metrics"]
-
-#: Program builders a spec may name; the same registry the serve CLI uses.
-BUILDERS = {"add_multiply": add_multiply_program,
-            "two_matmul": two_matmul_program,
-            "linreg": linreg_program}
 
 #: Block-geometry rescaling axes per builder: for each block-count
 #: parameter, the builder arguments (and tuple index, None = scalar) that
@@ -105,202 +92,6 @@ def load_metrics(path: str | os.PathLike) -> dict[str, float]:
         return obs_metrics.read_snapshot(path)
     except (OSError, ValueError) as err:
         raise AdvisorError(f"unreadable metrics {path}: {err}") from err
-
-
-# -- the re-runnable spec ------------------------------------------------------
-
-
-def _canonical_args(builder_name: str, args) -> dict:
-    """Normalize builder arguments (positional list or kwargs dict, JSON
-    lists for tuples) into a complete kwargs dict with defaults applied."""
-    builder = BUILDERS.get(builder_name)
-    if builder is None:
-        raise AdvisorError(f"unknown program {builder_name!r} "
-                           f"(known: {sorted(BUILDERS)})")
-    sig = inspect.signature(builder)
-    try:
-        if isinstance(args, Mapping):
-            bound = sig.bind(**args)
-        else:
-            bound = sig.bind(*(args or ()))
-    except TypeError as err:
-        raise AdvisorError(f"{builder_name}: bad builder args {args!r}: "
-                           f"{err}") from err
-    bound.apply_defaults()
-    out = {}
-    for k, v in bound.arguments.items():
-        out[k] = tuple(int(x) for x in v) if isinstance(v, (list, tuple)) \
-            else int(v)
-    return out
-
-
-def generate_input(array, params: Mapping[str, int], seed: int,
-                   name: str) -> np.ndarray:
-    """Deterministic dense input for one array: the stream is keyed by
-    ``(seed, array name)`` so distinct arrays of one job differ while equal
-    ``(seed, name, shape)`` pairs across jobs are bit-identical — which is
-    what lets the service's content-addressed catalog share them."""
-    seq = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *name.encode()])
-    rng = np.random.default_rng(seq)
-    return rng.standard_normal(array.shape_elems(params))
-
-
-class JobSpec:
-    """One job of a workload: template + binding + input seeds.
-
-    ``seeds`` optionally overrides the base ``seed`` per input array —
-    ``{"D": 7}`` gives every job a distinct D while A and B stay shared.
-    ``count`` repeats the job (expanded into distinct job names).
-
-    Two runtime-only fields support applied materialization and are not
-    serialized: ``program_obj`` (an explicit :class:`Program` replacing the
-    builder output, e.g. a residual program) and ``inputs_from`` (input
-    array -> producer job name whose same-named output feeds it).
-    """
-
-    __slots__ = ("program", "args", "params", "seed", "seeds", "count",
-                 "plan_exact", "memory_cap", "name", "program_obj",
-                 "inputs_from")
-
-    def __init__(self, program: str, params: Mapping[str, int],
-                 args=None, seed: int = 0,
-                 seeds: Mapping[str, int] | None = None, count: int = 1,
-                 plan_exact: bool = False, memory_cap: int | None = None,
-                 name: str | None = None,
-                 program_obj: Program | None = None,
-                 inputs_from: Mapping[str, str] | None = None):
-        self.program = program
-        self.args = _canonical_args(program, args) if program_obj is None \
-            else dict(args or {})
-        self.params = {k: int(v) for k, v in params.items()}
-        self.seed = int(seed)
-        self.seeds = {k: int(v) for k, v in (seeds or {}).items()}
-        self.count = int(count)
-        if self.count < 1:
-            raise AdvisorError(f"job count must be >= 1, got {count}")
-        self.plan_exact = bool(plan_exact)
-        self.memory_cap = memory_cap if memory_cap is None else int(memory_cap)
-        self.name = name
-        self.program_obj = program_obj
-        self.inputs_from = dict(inputs_from or {})
-
-    def build_program(self) -> Program:
-        if self.program_obj is not None:
-            return self.program_obj
-        return BUILDERS[self.program](**self.args)
-
-    def seed_for(self, array_name: str) -> int:
-        return self.seeds.get(array_name, self.seed)
-
-    def template_key(self) -> tuple:
-        """Groups jobs that share a program template and binding (the unit a
-        geometry recommendation rewrites).  Explicit-program jobs key on
-        the derived program's name (which embeds its provenance, e.g.
-        ``add_multiply__pre_C``) instead of the builder name."""
-        if self.program_obj is not None:
-            prog = self.program_obj.name
-            # The builder args are gone; the geometry they encoded lives on
-            # in the arrays' block shapes, which must stay in the key.
-            args_sig = json.dumps(
-                {n: list(a.block_shape)
-                 for n, a in sorted(self.program_obj.arrays.items())},
-                sort_keys=True)
-        else:
-            prog = self.program
-            args_sig = json.dumps(self.args, sort_keys=True)
-        return (prog, args_sig, json.dumps(self.params, sort_keys=True),
-                self.memory_cap, self.plan_exact)
-
-    def replace(self, **kw) -> "JobSpec":
-        fields = {f: getattr(self, f) for f in self.__slots__}
-        fields.update(kw)
-        return JobSpec(**fields)
-
-    def to_dict(self) -> dict:
-        if self.program_obj is not None:
-            raise AdvisorError(
-                f"job {self.name!r} carries an explicit program object and "
-                f"cannot be serialized")
-        d = {"program": self.program, "args": {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in self.args.items()}, "params": self.params,
-            "seed": self.seed}
-        if self.seeds:
-            d["seeds"] = self.seeds
-        if self.count != 1:
-            d["count"] = self.count
-        if self.plan_exact:
-            d["plan_exact"] = True
-        if self.memory_cap is not None:
-            d["memory_cap"] = self.memory_cap
-        if self.name is not None:
-            d["name"] = self.name
-        return d
-
-    def __repr__(self) -> str:
-        return (f"JobSpec({self.program}, params={self.params}, "
-                f"seed={self.seed}, count={self.count})")
-
-
-class WorkloadSpec:
-    """An ordered list of :class:`JobSpec`, JSONL round-trippable."""
-
-    __slots__ = ("jobs",)
-
-    def __init__(self, jobs: Iterable[JobSpec]):
-        self.jobs = list(jobs)
-        if not self.jobs:
-            raise AdvisorError("workload spec has no jobs")
-
-    @classmethod
-    def from_jsonl(cls, path: str | os.PathLike) -> "WorkloadSpec":
-        jobs = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    spec = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise AdvisorError(f"{path}:{lineno}: bad JSON: {err}") \
-                        from err
-                if "program" not in spec or "params" not in spec:
-                    raise AdvisorError(f"{path}:{lineno}: job needs "
-                                       f"\"program\" and \"params\"")
-                try:
-                    jobs.append(JobSpec(**{k: v for k, v in spec.items()
-                                           if k in JobSpec.__slots__}))
-                except (AdvisorError, TypeError) as err:
-                    raise AdvisorError(f"{path}:{lineno}: {err}") from err
-        if not jobs:
-            raise AdvisorError(f"{path}: no jobs")
-        return cls(jobs)
-
-    def to_jsonl(self, path: str | os.PathLike) -> None:
-        lines = [json.dumps(j.to_dict(), sort_keys=True) for j in self.jobs]
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    def expanded(self) -> list[JobSpec]:
-        """One :class:`JobSpec` per actual job, ``count`` unrolled and every
-        job named (``w<i>`` by default, ``<name>_r<k>`` for repeats)."""
-        out = []
-        for i, job in enumerate(self.jobs):
-            base = job.name or f"w{i + 1}"
-            for r in range(job.count):
-                name = base if job.count == 1 else f"{base}_r{r + 1}"
-                out.append(job.replace(count=1, name=name))
-        names = [j.name for j in out]
-        if len(set(names)) != len(names):
-            raise AdvisorError(f"duplicate job names after expansion: "
-                               f"{sorted(n for n in names if names.count(n) > 1)}")
-        return out
-
-    def __len__(self) -> int:
-        return sum(j.count for j in self.jobs)
-
-    def __repr__(self) -> str:
-        return f"WorkloadSpec({len(self.jobs)} entries, {len(self)} jobs)"
 
 
 # -- geometry rescaling --------------------------------------------------------

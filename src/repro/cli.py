@@ -19,10 +19,9 @@ Commands:
   materialization, layout, memory budget, prefetch), and with ``--apply``
   verify every prediction by re-running the workload.
 
-Example job file (one JSON object per line)::
-
-    {"program": "add_multiply", "params": {"n1": 2, "n2": 2, "n3": 1}, "seed": 0}
-    {"program": "add_multiply", "params": {"n1": 2, "n2": 2, "n3": 1}, "seed": 0}
+A job file (``serve``, ``advise --jobs``) holds one
+:class:`~repro.service.JobSpec` per line; docs/service.md "Job files"
+lists its keys.
 
 Example array-declaration JSON::
 
@@ -362,42 +361,19 @@ def _demo(args) -> int:
                  and validation_ok) else 1
 
 
-def _serve_jobs(path):
-    """Parse the JSONL job file into (spec dict, line number) pairs."""
-    jobs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                spec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SystemExit(f"{path}:{lineno}: bad JSON: {err}")
-            if "program" not in spec or "params" not in spec:
-                raise SystemExit(
-                    f"{path}:{lineno}: job needs \"program\" and \"params\"")
-            jobs.append((spec, lineno))
-    if not jobs:
-        raise SystemExit(f"{path}: no jobs")
-    return jobs
-
-
 def _serve(args) -> int:
     import numpy as np
 
     from . import obs
     from .engine import reference_outputs
-    from .exceptions import JobCancelled, ReproError, ServiceError
-    from .ir import ArrayKind
-    from .ops import add_multiply_program, linreg_program, two_matmul_program
-    from .service import ArrayService
+    from .exceptions import (JobCancelled, JobSpecError, ReproError,
+                             ServiceError)
+    from .service import ArrayService, WorkloadSpec, submit_job
 
-    builders = {"add_multiply": add_multiply_program,
-                "linreg": linreg_program}
-    _ = two_matmul_program  # needs shapes; jobs pass them via "args"
-
-    jobs = _serve_jobs(args.jobs)
+    try:
+        jobs = WorkloadSpec.from_jsonl(args.jobs).expanded()
+    except JobSpecError as err:
+        raise SystemExit(str(err))
     observing = bool(args.metrics_out)
     registry = None
     if observing:
@@ -417,49 +393,16 @@ def _serve(args) -> int:
                           stripe_bytes=args.stripe_bytes,
                           io_pace=args.io_pace,
                           pace_channels=args.pace_channels) as svc:
-            futures = []
-            for spec, lineno in jobs:
-                builder = builders.get(spec["program"])
-                if builder is None:
-                    raise SystemExit(
-                        f"{args.jobs}:{lineno}: unknown program "
-                        f"{spec['program']!r} (known: {sorted(builders)})")
-                program = builder(*spec.get("args", ()))
-                params = {k: int(v) for k, v in spec["params"].items()}
-                rng = np.random.default_rng(spec.get("seed", 0))
-                inputs = {n: rng.standard_normal(a.shape_elems(params))
-                          for n, a in sorted(program.arrays.items())
-                          if a.kind is ArrayKind.INPUT}
-                extra = {}
-                if "timeout" in spec:
-                    extra["timeout"] = float(spec["timeout"])
-                if "retries" in spec:
-                    extra["retry"] = int(spec["retries"])
-                fut = svc.submit(
-                    program, params, inputs,
-                    name=spec.get("name"),
-                    memory_cap_bytes=spec.get("memory_cap"),
-                    plan_exact=bool(spec.get("plan_exact", False)),
-                    checkpoint=bool(spec.get("checkpoint", False)),
-                    resume=bool(spec.get("resume", False)),
-                    **extra)
-                futures.append((fut, program, params, inputs, lineno))
-            for fut, program, params, inputs, lineno in futures:
+            futures = [(job, submit_job(svc, job)) for job in jobs]
+            for job, fut in futures:
                 try:
                     r = fut.result()
-                except JobCancelled as err:
-                    failures += 1
-                    print(f"job @{lineno}: CANCELLED "
-                          f"({type(err).__name__}: {err})")
-                    continue
-                except ServiceError as err:
-                    failures += 1
-                    print(f"job @{lineno}: REJECTED "
-                          f"({type(err).__name__}: {err})")
-                    continue
                 except ReproError as err:
                     failures += 1
-                    print(f"job @{lineno}: FAILED "
+                    verdict = "CANCELLED" if isinstance(err, JobCancelled) \
+                        else "REJECTED" if isinstance(err, ServiceError) \
+                        else "FAILED"
+                    print(f"job {job.name}: {verdict} "
                           f"({type(err).__name__}: {err})")
                     continue
                 line = (f"job {r.job}: plan #{r.plan.index} "
@@ -470,7 +413,9 @@ def _serve(args) -> int:
                         f"{r.report.pool_misses}m, "
                         f"waited {r.admission_wait_seconds:.3f}s")
                 if args.verify:
-                    expected = reference_outputs(program, params, inputs)
+                    program = job.build_program()
+                    expected = reference_outputs(program, job.params,
+                                                 job.inputs(program))
                     ok = all(np.allclose(r.outputs[n], expected[n])
                              for n in r.outputs)
                     line += f", verified: {ok}"
@@ -542,18 +487,18 @@ def _advise(args) -> int:
                           WorkloadSpec, measured_io_bytes, render_report,
                           run_analyzers, run_workload,
                           validate_recommendations, write_report)
-    from .exceptions import AdvisorError
+    from .exceptions import AdvisorError, JobSpecError
 
     if args.min_savings is not None and not args.apply:
         raise SystemExit("--min-savings requires --apply (it judges "
                          "*measured* bytes, not predictions)")
     try:
-        spec = WorkloadSpec.from_jsonl(args.jobs)
-    except AdvisorError as err:
+        config = AdvisorConfig.from_spec(
+            WorkloadSpec.from_jsonl(args.jobs),
+            memory_cap_bytes=args.memory_cap, prefetch_depth=args.prefetch,
+            workers=args.service_workers)
+    except JobSpecError as err:
         raise SystemExit(str(err))
-    config = AdvisorConfig.from_spec(spec, memory_cap_bytes=args.memory_cap,
-                                     prefetch_depth=args.prefetch,
-                                     workers=args.service_workers)
 
     def advise_in(workdir) -> int:
         from pathlib import Path

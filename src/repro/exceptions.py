@@ -107,6 +107,11 @@ class ServiceOverloaded(ServiceError):
     backlog drains below the degradation policy's high-water mark."""
 
 
+class JobSpecError(ReproError):
+    """A malformed job description or job-file line, or a job whose inputs
+    cannot be drawn (see :mod:`repro.service.jobs`)."""
+
+
 class AdvisorError(ReproError):
     """Workload-advisor failure: unreadable trace/metrics input, a schema
     newer than this reader, or an unapplicable recommendation

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -122,9 +122,9 @@ class Optimizer:
 
         ``plan_cache`` (any object with the
         :class:`repro.service.PlanCache` ``fingerprint``/``lookup``/
-        ``insert`` and ``structure_key``/``lattice``/``keep_lattice``
-        protocol) short-circuits the search, and is asked *before*
-        the analysis runs: a cached best plan for this exact
+        ``flight``/``insert`` and ``structure_key``/``lattice``/
+        ``keep_lattice`` protocol) short-circuits the search, and is asked
+        *before* the analysis runs: a cached best plan for this exact
         (program, params, memory cap, knobs) fingerprint is returned
         without evaluating a single Apriori candidate
         (``result.cache_hit`` is then true), together with the analysis the
@@ -132,6 +132,8 @@ class Optimizer:
         hash, a ``stat`` and a dict lookup, from its disk tier the cache
         re-analyzes and re-costs.  A miss runs the analysis and the search
         and hands the winner *and* the analysis to the cache for next time.
+        It first takes the cache's ``flight`` and looks up again, so
+        concurrent misses of one fingerprint run one search.
 
         The cache's structure tier covers a program it has searched at
         other block sizes: the walk reads no geometry, so on a fingerprint
@@ -150,15 +152,22 @@ class Optimizer:
         knobs = dict(max_set_size=max_set_size, max_candidates=max_candidates,
                      **cost_knobs)
         fingerprint = None
-        with obs_trace.span("optimize", "optimizer", program=self.program.name,
-                            workers=workers or 1) as top, lp_memo():
+        # The flight, once taken, is held until the plan is inserted.
+        with ExitStack() as flight, obs_trace.span(
+                "optimize", "optimizer", program=self.program.name,
+                workers=workers or 1) as top, lp_memo():
             if plan_cache is not None:
                 fingerprint = plan_cache.fingerprint(
                     self.program, params, memory_cap_bytes, self.io_model,
                     **knobs)
                 with obs_trace.span("optimize.plan_cache", "optimizer") as sp:
                     cached = plan_cache.lookup(fingerprint, self.program,
-                                               params, self.io_model)
+                                               params, self.io_model,
+                                               count_miss=False)
+                    if cached is None:
+                        flight.enter_context(plan_cache.flight(fingerprint))
+                        cached = plan_cache.lookup(fingerprint, self.program,
+                                                   params, self.io_model)
                     sp["hit"] = cached is not None
                 if cached is not None:
                     plan, analysis = cached
@@ -216,21 +225,21 @@ class Optimizer:
                      for i, (idx_set, schedule, cost) in enumerate(found)]
             top["plans"] = len(plans)
             top["tested"] = stats.candidates_tested
-        registry = obs_metrics.CURRENT
-        if registry is not None:
-            stats.bind(registry, program=self.program.name)
-        seconds = time.perf_counter() - t0
-        result = OptimizationResult(self.program, params, analysis, plans,
-                                    stats, self.io_model, seconds,
-                                    fingerprint=fingerprint)
-        if plan_cache is not None:
-            try:
-                best = result.best(memory_cap_bytes)
-            except OptimizationError:
-                pass  # nothing fits the cap — nothing worth caching
-            else:
-                plan_cache.insert(fingerprint, self.program, best, analysis,
-                                  **knobs)
+            registry = obs_metrics.CURRENT
+            if registry is not None:
+                stats.bind(registry, program=self.program.name)
+            seconds = time.perf_counter() - t0
+            result = OptimizationResult(self.program, params, analysis, plans,
+                                        stats, self.io_model, seconds,
+                                        fingerprint=fingerprint)
+            if plan_cache is not None:
+                try:
+                    best = result.best(memory_cap_bytes)
+                except OptimizationError:
+                    pass  # nothing fits the cap — nothing worth caching
+                else:
+                    plan_cache.insert(fingerprint, self.program, best,
+                                      analysis, **knobs)
         return result
 
 

@@ -13,12 +13,16 @@ Public surface:
   auditing the service's resilience invariants;
 * :class:`PlanCache` / :func:`optimization_fingerprint` — the persistent
   plan cache also usable standalone via ``optimize(plan_cache=...)``;
+* :class:`JobSpec` / :class:`WorkloadSpec` / :func:`generate_input` /
+  :func:`submit_job` — the one job description (the JSONL job file of
+  ``repro serve`` and ``repro advise``), its inputs and its submission;
 * :class:`ServiceStats`, :class:`JobPoolView` — accounting and the per-job
   shared-pool facade, exposed for tests and instrumentation.
 """
 
 from ..engine.executor import CountingStore
 from .chaos import ChaosReport, run_chaos
+from .jobs import JobSpec, WorkloadSpec, generate_input, submit_job
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (CircuitBreaker, DegradePolicy, HealthController,
                          JobRetryPolicy, classify_error)
@@ -40,5 +44,9 @@ __all__ = [
     "run_chaos",
     "PlanCache",
     "optimization_fingerprint",
+    "JobSpec",
+    "WorkloadSpec",
+    "generate_input",
+    "submit_job",
     "CountingStore",
 ]

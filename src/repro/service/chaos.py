@@ -47,6 +47,7 @@ from ..exceptions import (DeadlineExceeded, JobCancelled, ReproError,
 from ..optimizer import optimize
 from ..ops.programs import add_multiply_program
 from ..storage.faults import FaultInjector, FaultPolicy
+from .jobs import JobSpec
 from .resilience import DegradePolicy, JobRetryPolicy
 from .service import ArrayService
 
@@ -97,13 +98,8 @@ class ChaosReport:
                 f"{self.seconds:.2f}s)")
 
 
-def _inputs(prog, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return {n: rng.standard_normal(prog.arrays[n].shape_elems(_PARAMS))
-            for n in ("A", "B", "D")}
-
-
-def _baseline(prog, plan, workdir: Path, cap: int) -> dict[int, tuple]:
+def _baseline(prog, plan, workdir: Path, cap: int,
+              inputs: dict[int, dict]) -> dict[int, tuple]:
     """Isolated-run baselines per input seed: (io attribution, outputs).
 
     Chaos jobs submitted plan-exact *with the same pinned plan* must match
@@ -116,7 +112,7 @@ def _baseline(prog, plan, workdir: Path, cap: int) -> dict[int, tuple]:
     for seed in _INPUT_SEEDS:
         with ArrayService(workdir / f"baseline_{seed}", memory_cap_bytes=cap,
                           workers=1) as svc:
-            res = svc.submit(prog, _PARAMS, _inputs(prog, seed), plan=plan,
+            res = svc.submit(prog, _PARAMS, inputs[seed], plan=plan,
                              plan_exact=True).result(timeout=120)
         io = res.report.io
         out[seed] = ((io.read_bytes, io.write_bytes, io.read_ops,
@@ -148,7 +144,9 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
                        "event": event, **fields})
 
     plan = optimize(prog, _PARAMS).best(memory_cap_bytes)
-    baselines = _baseline(prog, plan, workdir, memory_cap_bytes)
+    inputs = {s: JobSpec("add_multiply", _PARAMS, seed=s).inputs(prog)
+              for s in _INPUT_SEEDS}
+    baselines = _baseline(prog, plan, workdir, memory_cap_bytes, inputs)
     emit("baselines", seeds=list(baselines), plan=plan.index)
 
     # Transient write faults against the retry probes' private files, deep
@@ -175,17 +173,17 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
             roll = rng.random()
             if roll < 0.15:
                 kind, name = "probe", f"probe-{seed}-{i}"
-                h = svc.submit(prog, _PARAMS, _inputs(prog, in_seed),
+                h = svc.submit(prog, _PARAMS, inputs[in_seed],
                                name=name, retry=retry, plan=plan,
                                plan_exact=True)
             elif roll < 0.35:
                 kind, name = "deadline", f"storm-{seed}-{i}"
-                h = svc.submit(prog, _PARAMS, _inputs(prog, in_seed),
+                h = svc.submit(prog, _PARAMS, inputs[in_seed],
                                name=name, plan=plan, plan_exact=True,
                                timeout=rng.uniform(1e-6, 1e-3))
             elif roll < 0.55:
                 kind, name = "cancel", f"victim-{seed}-{i}"
-                h = svc.submit(prog, _PARAMS, _inputs(prog, in_seed),
+                h = svc.submit(prog, _PARAMS, inputs[in_seed],
                                name=name, plan=plan, plan_exact=True)
                 timer = threading.Timer(rng.uniform(0.0, 0.05), h.cancel,
                                         kwargs={"reason": "chaos cancel"})
@@ -196,11 +194,11 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
                 # degraded (plan-cache-only) planner, so they are audited
                 # on outputs, not on the byte-identical I/O ledger.
                 kind, name = "unpinned", f"free-{seed}-{i}"
-                h = svc.submit(prog, _PARAMS, _inputs(prog, in_seed),
+                h = svc.submit(prog, _PARAMS, inputs[in_seed],
                                name=name)
             else:
                 kind, name = "clean", f"clean-{seed}-{i}"
-                h = svc.submit(prog, _PARAMS, _inputs(prog, in_seed),
+                h = svc.submit(prog, _PARAMS, inputs[in_seed],
                                name=name, plan=plan, plan_exact=True)
             emit("submit", kind=kind, job=name, input_seed=in_seed)
             handles.append((kind, name, in_seed, h))
@@ -270,7 +268,7 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
         # submit-time exceptions*, never queued forever.
         svc.health.policy = DegradePolicy(shed_backlog=0)
         try:
-            svc.submit(prog, _PARAMS, _inputs(prog, 0),
+            svc.submit(prog, _PARAMS, inputs[0],
                        name=f"burst-{seed}")
         except ServiceError:
             report.shed += 1

@@ -56,6 +56,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -214,6 +215,8 @@ class PlanCache(obs_metrics.StatFields):
         self._memory: "OrderedDict[str, tuple[tuple, tuple]]" = OrderedDict()
         # structure key -> (opportunity labels, [(set, schedule), ...]).
         self._lattices: "OrderedDict[str, tuple[tuple, list]]" = OrderedDict()
+        # fingerprint -> [lock, holders and waiters]; see flight().
+        self._flights: dict[str, list] = {}
         registry = obs_metrics.CURRENT
         if registry is not None:
             self.bind(registry, cache=registry.seq("plan_cache"))
@@ -240,7 +243,8 @@ class PlanCache(obs_metrics.StatFields):
 
     def lookup(self, fingerprint: str, program: Program,
                params: Mapping[str, int], io_model: IOModel | None = None,
-               analysis: ProgramAnalysis | None = None
+               analysis: ProgramAnalysis | None = None,
+               count_miss: bool = True
                ) -> "tuple[Plan, ProgramAnalysis] | None":
         """The cached best plan and the analysis it is costed against.
 
@@ -251,7 +255,8 @@ class PlanCache(obs_metrics.StatFields):
         (pass ``analysis`` to reuse one already computed) and the result is
         kept for the next lookup.  A cache file that no longer resolves
         against the program (stale directory reused across incompatible
-        code versions) counts as a miss and is ignored.
+        code versions) counts as a miss and is ignored (uncounted with
+        ``count_miss=False``, for a probe repeated under :meth:`flight`).
         """
         path = self.path_for(fingerprint)
         # Taken before the file is read: if it is replaced in between, the
@@ -269,7 +274,7 @@ class PlanCache(obs_metrics.StatFields):
                 del self._memory[fingerprint]
                 self._invalidations.value += 1
             if signature is None:
-                self._misses.value += 1
+                self._misses.value += count_miss
                 return None
         try:
             if analysis is None:
@@ -277,7 +282,7 @@ class PlanCache(obs_metrics.StatFields):
             plan = load_plan(path, program, analysis, params, io_model)
         except (ReproError, OSError, ValueError, KeyError):
             with self._lock:
-                self._misses.value += 1
+                self._misses.value += count_miss
                 # The file is damaged, or the fingerprint missed something
                 # the analysis reads.  The structure key signs less than
                 # the fingerprint, so its tier is not trusted either: the
@@ -334,6 +339,22 @@ class PlanCache(obs_metrics.StatFields):
             if analysis is not None:
                 self._remember(fingerprint, plan, analysis, signature)
         return path
+
+    @contextmanager
+    def flight(self, fingerprint: str):
+        """Held by one caller per fingerprint at a time: a miss waits here
+        for a search of its fingerprint under way, then looks up again."""
+        with self._lock:
+            entry = self._flights.setdefault(fingerprint, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._flights[fingerprint]
 
     # -- the structure tier --------------------------------------------------------
 

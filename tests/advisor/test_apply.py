@@ -145,7 +145,7 @@ class TestRunWorkload:
                   for n, a in prog.arrays.items() if a.kind.value == "input"}
         ref = reference_outputs(prog, job.params, inputs)
         # Re-run the applied pipeline in-process to grab outputs.
-        from repro.advisor.apply import _submit
+        from repro.service.jobs import submit_job as _submit
         from repro.service import ArrayService
         with ArrayService(tmp_path / "svc", memory_cap_bytes=CAP,
                           workers=1) as svc:

@@ -10,7 +10,7 @@ from repro.advisor import (JobSpec, WorkloadProfile, WorkloadSpec,
                            materialization_split, rescale_geometry)
 from repro.advisor.apply import AdvisorConfig, run_workload
 from repro.advisor.workload import load_metrics
-from repro.exceptions import AdvisorError
+from repro.exceptions import AdvisorError, JobSpecError
 from repro.ops import add_multiply_program
 
 
@@ -20,7 +20,7 @@ class TestJobSpec:
         assert j.args == {"block_rows": 60, "block_cols": 40, "d_cols": 50}
 
     def test_unknown_builder_rejected(self):
-        with pytest.raises(AdvisorError):
+        with pytest.raises(JobSpecError):
             JobSpec("nope", {"n": 1})
 
     def test_seed_for_falls_back_to_base_seed(self):
@@ -47,7 +47,7 @@ class TestJobSpec:
     def test_program_obj_jobs_refuse_serialization(self):
         j = JobSpec("add_multiply", {"n1": 2, "n2": 2, "n3": 1})
         prefix, _ = materialization_split(j.build_program(), "C")
-        with pytest.raises(AdvisorError):
+        with pytest.raises(JobSpecError):
             j.replace(program_obj=prefix, args={}).to_dict()
 
 
@@ -72,7 +72,7 @@ class TestWorkloadSpec:
     def test_from_jsonl_reports_line_numbers(self, tmp_path):
         p = tmp_path / "w.jsonl"
         p.write_text('{"program": "linreg"}\n')
-        with pytest.raises(AdvisorError, match="w.jsonl:1"):
+        with pytest.raises(JobSpecError, match="w.jsonl:1"):
             WorkloadSpec.from_jsonl(p)
 
     def test_expansion_unrolls_count_and_names_jobs(self):
@@ -87,7 +87,7 @@ class TestWorkloadSpec:
     def test_expansion_rejects_duplicate_names(self):
         spec = WorkloadSpec([JobSpec("linreg", {"n": 2}, name="x"),
                              JobSpec("linreg", {"n": 2}, name="x")])
-        with pytest.raises(AdvisorError, match="duplicate"):
+        with pytest.raises(JobSpecError, match="duplicate"):
             spec.expanded()
 
 

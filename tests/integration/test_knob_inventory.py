@@ -17,7 +17,7 @@ import pytest
 
 from repro.advisor import AdvisorConfig
 from repro.engine.executor import execute_plan, run_job, run_program
-from repro.service import ArrayService
+from repro.service import ArrayService, JobSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -46,6 +46,9 @@ INVENTORY = {
     "AdvisorConfig.__slots__": """
         jobs memory_cap_bytes prefetch_depth io_model max_set_size
         max_candidates workers plan_cache""",
+    "JobSpec.__slots__": """
+        program args params seed seeds count plan_exact memory_cap timeout
+        retries checkpoint resume name program_obj inputs_from""",
     "repro serve --help": """
         --help --service-workers --memory-cap --plan-cache --workdir
         --admission-timeout --verify --metrics-out --prefetch --deadline
@@ -78,6 +81,7 @@ ACTUAL = {
     "ArrayService.__init__": lambda: _params(ArrayService.__init__),
     "ArrayService.submit": lambda: _params(ArrayService.submit),
     "AdvisorConfig.__slots__": lambda: list(AdvisorConfig.__slots__),
+    "JobSpec.__slots__": lambda: list(JobSpec.__slots__),
     "repro serve --help": _serve_flags,
 }
 
