@@ -19,6 +19,7 @@ from repro import run_program
 from repro.baselines import manual_best, matlab_like, scidb_like
 from repro.engine import reference_outputs
 from repro.optimizer import evaluate_plan
+from repro.storage import make_disk
 from repro.workloads import add_multiply_config, generate_inputs
 
 PAPER_BEST_SET = {"s1WC->s2RC", "s2WE->s2RE", "s2WE->s2WE"}
@@ -102,8 +103,9 @@ def test_fig3b_predicted_vs_actual(fig3_result, benchmark, tmp_path_factory):
                                  plan.realized, io_model=result.io_model,
                                  block_bytes=run_bytes)
             td = tmp_path_factory.mktemp(f"fig3b_{plan.index}")
-            report, outputs = run_program(cfg.program, cfg.params, plan, td,
-                                          inputs, io_model=result.io_model)
+            report, outputs = run_program(
+                cfg.program, cfg.params, plan,
+                make_disk(td, io_model=result.io_model), inputs)
             rows.append((plan, pred, report, outputs))
         return rows
 
@@ -137,8 +139,8 @@ def test_comparison_baselines(fig3_result, benchmark, tmp_path_factory):
         s = scidb_like(cfg.program, cfg.params, result, mk("scidb"), inputs)
         h = manual_best(cfg.program, cfg.params, result, mk("manual"), inputs)
         td = mk("ours")
-        ours, _ = run_program(cfg.program, cfg.params, result.best(), td,
-                              inputs, io_model=result.io_model)
+        ours, _ = run_program(cfg.program, cfg.params, result.best(),
+                              make_disk(td, io_model=result.io_model), inputs)
         return m, s, h, ours
 
     m, s, h, ours = benchmark.pedantic(run, rounds=1, iterations=1)

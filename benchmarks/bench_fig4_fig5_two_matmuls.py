@@ -15,6 +15,7 @@ from repro.report import plan_space_csv
 from repro import run_program
 from repro.engine import reference_outputs
 from repro.optimizer import evaluate_plan
+from repro.storage import make_disk
 from repro.workloads import generate_inputs, two_matmul_config
 
 # The paper's selected plans (Section 6.2).
@@ -108,8 +109,9 @@ def test_fig45b_predicted_vs_actual(which, fig4_result, fig5_result, benchmark,
                                  plan.realized, io_model=result.io_model,
                                  block_bytes=run_bytes)
             td = tmp_path_factory.mktemp(f"fig45_{which}_{tag}")
-            report, outputs = run_program(cfg.program, cfg.params, plan, td,
-                                          inputs, io_model=result.io_model)
+            report, outputs = run_program(
+                cfg.program, cfg.params, plan,
+                make_disk(td, io_model=result.io_model), inputs)
             rows.append((tag, pred, report, outputs))
         return rows
 

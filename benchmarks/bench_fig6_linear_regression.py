@@ -14,6 +14,7 @@ from conftest import banner, save_artifact
 from repro.report import plan_space_csv
 from repro import run_program
 from repro.optimizer import evaluate_plan
+from repro.storage import make_disk
 from repro.workloads import generate_inputs, linreg_config
 
 PAPER_IO_SAVING = 0.438
@@ -90,8 +91,9 @@ def test_fig6b_predicted_vs_actual(fig6_result, benchmark, tmp_path_factory):
                                  plan.realized, io_model=result.io_model,
                                  block_bytes=run_bytes)
             td = tmp_path_factory.mktemp(tag.replace(" ", "_").replace("(", "").replace(")", ""))
-            report, outputs = run_program(cfg.program, cfg.params, plan, td,
-                                          inputs, io_model=result.io_model)
+            report, outputs = run_program(
+                cfg.program, cfg.params, plan,
+                make_disk(td, io_model=result.io_model), inputs)
             rows.append((tag, pred, report, outputs))
         return rows
 

@@ -23,6 +23,7 @@ from conftest import banner, save_artifact
 from repro import add_multiply_program, optimize, run_program
 from repro.engine import reference_outputs
 from repro.optimizer import IOModel
+from repro.storage import make_disk
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 DEPTHS = (0, 2, 8)
@@ -42,9 +43,9 @@ def test_prefetch_overlap_json(benchmark):
     records = []
     for depth in DEPTHS:
         with tempfile.TemporaryDirectory() as td:
-            report, outputs = run_program(prog, P, best, td, inputs,
-                                          prefetch_depth=depth,
-                                          io_pace=1.0, validate=True)
+            report, outputs = run_program(prog, P, best,
+                                          make_disk(td, pace=1.0), inputs,
+                                          prefetch_depth=depth, validate=True)
         for name in outputs:
             assert np.allclose(outputs[name], truth[name]), \
                 f"depth {depth}: output {name} wrong"

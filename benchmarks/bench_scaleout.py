@@ -35,6 +35,7 @@ from repro import add_multiply_program, optimize, reference_outputs
 from repro.exceptions import ServiceOverloaded
 from repro.obs import metrics as obs_metrics
 from repro.service import ArrayService, DegradePolicy
+from repro.storage import make_disk
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 CAP = 128 << 20
@@ -101,9 +102,10 @@ def _run_cell(wl, shards, workdir, verify=True):
     obs_metrics.install(registry)
     try:
         t0 = time.perf_counter()
-        with ArrayService(workdir, memory_cap_bytes=CAP, workers=WORKERS,
-                          shards=shards, io_pace=IO_PACE,
-                          pace_channels=PACE_CHANNELS) as svc:
+        disk = make_disk(workdir, shards, pace=IO_PACE,
+                         pace_channels=PACE_CHANNELS)
+        with ArrayService(disk, memory_cap_bytes=CAP,
+                          workers=WORKERS) as svc:
             # plan_exact pins every job to its plan's predicted I/O, so
             # attributed bytes are deterministic across shard counts
             # (opportunistic pool hits would vary with scheduling).
@@ -180,8 +182,8 @@ def test_scaleout_matrix(tmp_path_factory):
     policy = DegradePolicy(shed_backlog=16, planner_queue_depth=4)
     workdir = tmp_path_factory.mktemp("so_overload")
     shed = 0
-    with ArrayService(workdir, memory_cap_bytes=CAP, workers=2, shards=2,
-                      io_pace=IO_PACE, pace_channels=PACE_CHANNELS,
+    disk = make_disk(workdir, 2, pace=IO_PACE, pace_channels=PACE_CHANNELS)
+    with ArrayService(disk, memory_cap_bytes=CAP, workers=2,
                       degrade=policy) as svc:
         futures = []
         for kind, seed in wl.jobs[:n_burst]:

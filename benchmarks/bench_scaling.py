@@ -17,6 +17,7 @@ from conftest import banner, save_artifact
 from repro import optimize
 from repro.engine import run_program
 from repro.ops import add_multiply_program
+from repro.storage import make_disk
 
 SCALES = [
     {"n1": 6, "n2": 6, "n3": 1},
@@ -52,8 +53,9 @@ def test_scale_invariance(benchmark, tmp_path_factory):
                   for n in ("A", "B", "D")}
         workdir = tmp_path_factory.mktemp(
             f"scaling_{params['n1']}x{params['n2']}")
-        report, _ = run_program(program, params, best, workdir, inputs,
-                                io_model=result.io_model)
+        report, _ = run_program(program, params, best,
+                                make_disk(workdir, io_model=result.io_model),
+                                inputs)
         records.append({
             "workload": program.name,
             "params": dict(params),

@@ -37,6 +37,7 @@ from ..obs import trace as obs_trace
 from ..optimizer import IOModel
 from ..service import ArrayService
 from ..service.jobs import JobSpec, WorkloadSpec, submit_job
+from ..storage import make_disk
 from .recommendations import Recommendation
 from .workload import (WorkloadProfile, materialization_split,
                        rescale_geometry)
@@ -187,9 +188,9 @@ def run_workload(config: AdvisorConfig, workdir: str | os.PathLike,
     consumers = [j for j in config.jobs if j not in producers]
 
     with obs_trace.use(tracer), obs_metrics.use(registry):
-        with ArrayService(workdir, memory_cap_bytes=config.memory_cap_bytes,
+        with ArrayService(make_disk(workdir, io_model=config.io_model),
+                          memory_cap_bytes=config.memory_cap_bytes,
                           workers=config.workers,
-                          io_model=config.io_model,
                           plan_cache=config.plan_cache,
                           max_set_size=config.max_set_size,
                           max_candidates=config.max_candidates,

@@ -30,6 +30,7 @@ import numpy as np
 from ..engine import run_program
 from ..ir import Program
 from ..optimizer import OptimizationResult
+from ..storage import make_disk
 
 __all__ = ["BaselineReport", "matlab_like", "scidb_like", "manual_best"]
 
@@ -62,8 +63,9 @@ def matlab_like(program: Program, params: Mapping[str, int],
                 control_overhead: float = 1.35) -> BaselineReport:
     """Blocked, operator-at-a-time execution (the original plan) with a
     control/storage overhead factor."""
-    report, _ = run_program(program, params, result.original_plan, workdir,
-                            inputs, io_model=result.io_model)
+    report, _ = run_program(program, params, result.original_plan,
+                            make_disk(workdir, io_model=result.io_model),
+                            inputs)
     return BaselineReport("matlab-like", report.simulated_io_seconds,
                           report.cpu_seconds, control_overhead)
 
@@ -79,8 +81,9 @@ def scidb_like(program: Program, params: Mapping[str, int],
     factor, so the ordering SciDB > Matlab holds even when measured CPU time
     is negligible at run scale); ``kernel_slowdown`` models the non-BLAS
     in-memory execution the paper observed."""
-    report, _ = run_program(program, params, result.original_plan, workdir,
-                            inputs, io_model=result.io_model)
+    report, _ = run_program(program, params, result.original_plan,
+                            make_disk(workdir, io_model=result.io_model),
+                            inputs)
     return BaselineReport("scidb-like",
                           report.simulated_io_seconds * chunk_overhead,
                           report.cpu_seconds * kernel_slowdown, 1.0)
@@ -91,7 +94,8 @@ def manual_best(program: Program, params: Mapping[str, int],
                 inputs: Mapping[str, np.ndarray],
                 inmemory_advantage: float = 0.94) -> BaselineReport:
     """Hand-implementing the optimizer's best plan in a Matlab-like host."""
-    report, _ = run_program(program, params, result.best(), workdir,
-                            inputs, io_model=result.io_model)
+    report, _ = run_program(program, params, result.best(),
+                            make_disk(workdir, io_model=result.io_model),
+                            inputs)
     return BaselineReport("manual-best", report.simulated_io_seconds,
                           report.cpu_seconds * inmemory_advantage, 1.0)

@@ -42,6 +42,7 @@ import argparse
 import json
 import sys
 import tempfile
+from contextlib import nullcontext
 
 __all__ = ["main"]
 
@@ -275,6 +276,7 @@ def _demo(args) -> int:
     from .engine import reference_outputs, run_program
     from .ops import add_multiply_program
     from .optimizer import optimize
+    from .storage import FaultInjector, make_disk
     from .workloads import generate_inputs, two_matmul_config
 
     if args.workload == "two_matmuls":
@@ -307,16 +309,15 @@ def _demo(args) -> int:
             raise SystemExit("--resume requires --workdir")
         validate = args.tolerance if args.validate_cost and args.tolerance \
             else args.validate_cost
-        kwargs = dict(faults=args.faults, checkpoint=bool(args.workdir),
-                      resume=args.resume, validate=validate,
-                      prefetch_depth=args.prefetch)
-        if args.workdir:
-            report, outputs = run_program(program, params, best, args.workdir,
-                                          inputs, **kwargs)
-        else:
-            with tempfile.TemporaryDirectory() as workdir:
-                report, outputs = run_program(program, params, best, workdir,
-                                              inputs, **kwargs)
+        with nullcontext(args.workdir) if args.workdir \
+                else tempfile.TemporaryDirectory() as workdir:
+            if args.faults is not None:
+                workdir = make_disk(workdir, fault_injector=FaultInjector
+                                    .transient(seed=args.faults))
+            report, outputs = run_program(
+                program, params, best, workdir, inputs,
+                checkpoint=bool(args.workdir), resume=args.resume,
+                validate=validate, prefetch_depth=args.prefetch)
     finally:
         if observing:
             obs.disable()
@@ -367,8 +368,9 @@ def _serve(args) -> int:
     from . import obs
     from .engine import reference_outputs
     from .exceptions import (JobCancelled, JobSpecError, ReproError,
-                             ServiceError)
+                             ServiceError, StorageError)
     from .service import ArrayService, WorkloadSpec, submit_job
+    from .storage import make_disk
 
     try:
         jobs = WorkloadSpec.from_jsonl(args.jobs).expanded()
@@ -381,18 +383,21 @@ def _serve(args) -> int:
 
     def run_batch(workdir) -> int:
         failures = 0
-        with ArrayService(workdir, memory_cap_bytes=args.memory_cap,
+        try:
+            disk = make_disk(workdir, args.shards,
+                             stripe_bytes=args.stripe_bytes,
+                             pace=args.io_pace,
+                             pace_channels=args.pace_channels)
+        except StorageError as err:
+            raise SystemExit(str(err))
+        with ArrayService(disk, memory_cap_bytes=args.memory_cap,
                           workers=args.service_workers,
                           plan_cache=args.plan_cache,
                           admission_timeout=args.admission_timeout,
                           prefetch_depth=args.prefetch,
                           job_timeout=args.deadline,
                           job_retry=args.job_retries,
-                          degrade=bool(args.degrade),
-                          shards=args.shards,
-                          stripe_bytes=args.stripe_bytes,
-                          io_pace=args.io_pace,
-                          pace_channels=args.pace_channels) as svc:
+                          degrade=bool(args.degrade)) as svc:
             futures = [(job, submit_job(svc, job)) for job in jobs]
             for job, fut in futures:
                 try:
@@ -448,13 +453,12 @@ def _serve(args) -> int:
                       f"({s.retries_exhausted} exhausted), "
                       f"{s.degraded_plans} degraded plans, "
                       f"{s.breaker_trips} breaker trips")
-            if svc.plan_cache is not None:
-                pc = svc.plan_cache
-                print(f"plan cache: {pc.hits} hits ({pc.memory_hits} from "
-                      f"memory), {pc.misses} misses ({pc.structure_hits} "
-                      f"re-costed from another block size), "
-                      f"{pc.invalidations} invalidations, {len(pc)} plans "
-                      f"stored")
+            pc = svc.plan_cache
+            print(f"plan cache: {pc.hits} hits ({pc.memory_hits} from "
+                  f"memory), {pc.misses} misses ({pc.structure_hits} "
+                  f"re-costed from another block size), "
+                  f"{pc.invalidations} invalidations, {len(pc)} plans "
+                  f"stored")
         return failures
 
     try:

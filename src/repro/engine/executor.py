@@ -29,6 +29,7 @@ disk, run, validate) and :class:`repro.service.ArrayService`.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import nullcontext
@@ -43,10 +44,9 @@ from ..exceptions import ExecutionError, StorageError
 from ..ir import ArrayKind, Program
 from ..obs import trace as obs_trace
 from ..obs.validate import RESUME_STMT, CostValidation, validate_cost
-from ..optimizer.costing import IOModel
 from ..optimizer.plan import Plan
-from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
-                       IOStats, RetryPolicy, SimulatedDisk, make_disk)
+from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, IOStats,
+                       SimulatedDisk, make_disk)
 from .journal import ExecutionJournal, plan_fingerprint
 from .kernels import run_kernel
 from .prefetch import PrefetchPipeline, PrefetchStats
@@ -628,24 +628,23 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
 
 def run_program(program: Program, params: Mapping[str, int], plan: Plan,
                 workdir, inputs: Mapping[str, np.ndarray],
-                io_model: IOModel | None = None,
                 memory_cap_bytes: int | None = None,
                 plan_exact: bool = True,
-                faults: "FaultInjector | int | None" = None,
-                retry: RetryPolicy | None = None,
-                atomic_writes: bool | None = None,
                 checkpoint: bool = False,
                 resume: bool = False,
                 tracer: "obs_trace.Tracer | None" = None,
                 validate: "bool | float" = False,
                 prefetch_depth: int = 0,
-                prefetch_budget_bytes: int | None = None,
-                io_pace: float = 0.0,
-                shards: int = 1,
-                stripe_bytes: int | None = None,
-                pace_channels: int | None = None
+                prefetch_budget_bytes: int | None = None
                 ) -> tuple[ExecutionReport, dict[str, np.ndarray]]:
     """Create storage, load inputs, execute, read back outputs.
+
+    ``workdir`` is a directory or a disk from
+    :func:`~repro.storage.make_disk`, which carries the storage settings —
+    I/O model, fault injection, retry, atomic writes, shards, stripe unit
+    and pacing.  A directory gets a plain disk, with atomic writes when
+    ``checkpoint`` or ``resume`` is set.  Either way the run closes the
+    disk when it ends.
 
     ``inputs`` maps input-array names to dense matrices of the full (scaled)
     shape.  Returns the execution report and the dense contents of every
@@ -662,16 +661,12 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
       Needs an event-keeping tracer; one is created automatically when none
       is installed.
 
-    Fault tolerance:
+    Fault tolerance (injected faults are absorbed by the disk's retry
+    policy, counted in ``report.io.retries``):
 
-    * ``faults`` — a :class:`FaultInjector`, or an int seed for the default
-      5 %-transient policy; injected faults are absorbed by the disk's
-      ``retry`` policy (counted in ``report.io.retries``);
-    * ``atomic_writes`` — undo-record protection for counted writes;
-      defaults on whenever faults or checkpointing are in play;
     * ``checkpoint`` — journal every completed instance to
-      ``<workdir>/execution.journal``;
-    * ``resume`` — continue a previous checkpointed run in ``workdir``:
+      ``execution.journal`` in the disk's root;
+    * ``resume`` — continue a previous checkpointed run on the same root:
       interrupted writes are rolled back, stores are reopened (inputs are
       already on disk), and execution restarts from the last consistent
       instance.  Falls back to a fresh checkpointed run when no journal
@@ -683,34 +678,8 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
       a background reader thread (0 = serial, the default);
     * ``prefetch_budget_bytes`` — cap on staged-but-unconsumed bytes;
       defaults to the memory cap minus the plan's predicted peak residency
-      (unbounded when no cap is set);
-    * ``io_pace`` — scale real sleeps onto counted I/O (``pace`` of the
-      :class:`SimulatedDisk`): 1.0 makes wall clock reflect the modeled
-      disk, which is how the overlap benchmark measures hidden I/O time.
-
-    Scale-out:
-
-    * ``shards`` — stripe the run's stores across this many independent
-      disks (:class:`~repro.storage.sharding.ShardedDisk`); 1 keeps the
-      plain single disk.  ``faults`` may then be a sequence of per-shard
-      injectors (``None`` entries allowed) to confine faults to a shard;
-    * ``stripe_bytes`` — stripe unit for sharded runs;
-    * ``pace_channels`` — cap concurrent paced transfers per disk/shard
-      (``None`` = historical unbounded pacing).
+      (unbounded when no cap is set).
     """
-    per_shard_injectors = None
-    if isinstance(faults, (list, tuple)):
-        per_shard_injectors = list(faults)
-        injector = None
-    else:
-        injector = FaultInjector.transient(seed=faults) \
-            if isinstance(faults, int) else faults
-    if atomic_writes is None:
-        atomic_writes = injector is not None \
-            or per_shard_injectors is not None or checkpoint or resume
-    workdir = Path(workdir)
-    journal_path = workdir / JOURNAL_NAME if checkpoint or resume else None
-
     want_validation = validate is not False
     tolerance = float(validate) if not isinstance(validate, bool) else 0.0
     eff_tracer = tracer if tracer is not None else obs_trace.CURRENT
@@ -730,18 +699,12 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
         prefetch_budget_bytes = max(0, memory_cap_bytes
                                     - plan.cost.memory_bytes)
 
-    model = io_model or IOModel()
-    if per_shard_injectors is not None and shards <= 1:
-        raise ExecutionError("per-shard fault injectors need shards > 1")
-    with scope, make_disk(workdir, shards, stripe_bytes=stripe_bytes,
-                          io_model=model, pace=io_pace,
-                          pace_channels=pace_channels,
-                          fault_injector=injector,
-                          fault_injectors=per_shard_injectors, retry=retry,
-                          atomic_writes=atomic_writes) as disk, \
-            obs_trace.span("run_program", "engine", program=program.name,
-                           plan=plan.index, plan_exact=plan_exact,
-                           resume=resume and journal_path.exists()):
+    disk = make_disk(workdir, atomic_writes=checkpoint or resume) \
+        if isinstance(workdir, (str, os.PathLike)) else workdir
+    journal_path = disk.root / JOURNAL_NAME if checkpoint or resume else None
+    with scope, disk, obs_trace.span(
+            "run_program", "engine", program=program.name, plan=plan.index,
+            plan_exact=plan_exact, resume=resume and journal_path.exists()):
         # The disk is this run's alone: every array, inputs included, is
         # its own store, nothing shared.
         report, outputs, _, exec_plan = run_job(
@@ -757,7 +720,8 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
             note = ("opportunistic LRU mode: actual I/O may legally "
                     "undershoot the plan-exact prediction")
         report.validation = validate_cost(
-            exec_plan, eff_tracer.events[events_start:], io_model=model,
+            exec_plan, eff_tracer.events[events_start:],
+            io_model=disk.io_model,
             tolerance=tolerance, retries=report.io.retries,
             checksum_failures=report.io.checksum_failures, note=note)
     return report, outputs

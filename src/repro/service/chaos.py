@@ -46,6 +46,7 @@ from ..exceptions import (DeadlineExceeded, JobCancelled, ReproError,
                           ServiceError)
 from ..optimizer import optimize
 from ..ops.programs import add_multiply_program
+from ..storage import make_disk
 from ..storage.faults import FaultInjector, FaultPolicy
 from .jobs import JobSpec
 from .resilience import DegradePolicy, JobRetryPolicy
@@ -163,8 +164,9 @@ def run_chaos(workdir, seed: int, jobs: int = 18, workers: int = 4,
     retry = JobRetryPolicy(max_attempts=3, backoff_base=0.001)
     degrade = DegradePolicy(shed_backlog=jobs * 3)
 
-    svc = ArrayService(workdir / "chaos", memory_cap_bytes=memory_cap_bytes,
-                       workers=workers, faults=injector, degrade=degrade)
+    svc = ArrayService(make_disk(workdir / "chaos", fault_injector=injector),
+                       memory_cap_bytes=memory_cap_bytes, workers=workers,
+                       degrade=degrade)
     handles: list[tuple[str, str, int, object]] = []  # (kind, name, seed, h)
     cancellers: list[threading.Timer] = []
     try:

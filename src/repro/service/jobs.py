@@ -208,6 +208,7 @@ class WorkloadSpec:
     @classmethod
     def from_jsonl(cls, path: str | os.PathLike) -> "WorkloadSpec":
         jobs = []
+        named: dict[str, str] = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -228,10 +229,12 @@ class WorkloadSpec:
                         f"{path}:{lineno}: unknown job key(s) {unknown} "
                         f"(a job line takes: {', '.join(JobSpec.KEYS)})")
                 try:
-                    jobs.append(JobSpec(**spec))
+                    job = JobSpec(**spec)
                 except (JobSpecError, TypeError, ValueError,
                         AttributeError) as err:
                     raise JobSpecError(f"{path}:{lineno}: {err}") from err
+                _claim(named, job, f"{path}:{lineno}")
+                jobs.append(job)
         if not jobs:
             raise JobSpecError(f"{path}: no jobs")
         return cls(jobs)
@@ -242,17 +245,22 @@ class WorkloadSpec:
 
     def expanded(self) -> list[JobSpec]:
         """One :class:`JobSpec` per actual job, ``count`` unrolled and every
-        job named (``w<i>`` by default, ``<name>_r<k>`` for repeats)."""
+        job named, ``<name>_r<k>`` for repeats.  The ``i``-th entry, when
+        unnamed, is ``w<i>`` — or ``w<i>.<k>`` for the least ``k`` that no
+        named entry uses."""
+        named: dict[str, str] = {}
+        for i, job in enumerate(self.jobs):
+            _claim(named, job, f"entry {i + 1}")
         out = []
         for i, job in enumerate(self.jobs):
-            base = job.name or f"w{i + 1}"
-            for r in range(job.count):
-                name = base if job.count == 1 else f"{base}_r{r + 1}"
-                out.append(job.replace(count=1, name=name))
-        names = [j.name for j in out]
-        if len(set(names)) != len(names):
-            raise JobSpecError(f"duplicate job names after expansion: "
-                               f"{sorted(n for n in names if names.count(n) > 1)}")
+            base = job.name
+            if base is None:
+                base, k = f"w{i + 1}", 1
+                while not named.keys().isdisjoint(_names(base, job.count)):
+                    k += 1
+                    base = f"w{i + 1}.{k}"
+            out.extend(job.replace(count=1, name=name)
+                       for name in _names(base, job.count))
         return out
 
     def __len__(self) -> int:
@@ -260,6 +268,22 @@ class WorkloadSpec:
 
     def __repr__(self) -> str:
         return f"WorkloadSpec({len(self.jobs)} entries, {len(self)} jobs)"
+
+
+def _names(base: str, count: int) -> list[str]:
+    """The job names an entry named ``base`` expands to."""
+    return [base] if count == 1 else [f"{base}_r{r + 1}"
+                                      for r in range(count)]
+
+
+def _claim(named: dict[str, str], job: JobSpec, where: str) -> None:
+    """Record the names a named ``job`` expands to as used at ``where``;
+    a name already in ``named`` is an error there."""
+    for name in _names(job.name, job.count) if job.name else ():
+        if name in named:
+            raise JobSpecError(f"{where}: duplicate job name {name!r} "
+                               f"(first at {named[name]})")
+        named[name] = where
 
 
 def submit_job(svc, job: JobSpec, produced: Mapping[str, dict] | None = None):

@@ -166,13 +166,15 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _stat_signature(path: Path) -> tuple | None:
+def _stat_signature(path: Path | None) -> tuple | None:
     """What identifies the file now at ``path``, or ``None`` without one.
 
     Entries are only ever replaced by ``os.rename`` of a new file, which
     changes the inode; size and mtime also catch an in-place rewrite or
     truncation by something that is not this class.
     """
+    if path is None:
+        return None
     try:
         st = os.stat(path)
     except OSError:
@@ -198,6 +200,9 @@ class PlanCache(obs_metrics.StatFields):
     operations for a caller that already holds the fingerprint, and they
     carry the analysis along with the plan — ``insert`` takes the one the
     search ran on, ``lookup`` returns the one the plan is costed against.
+
+    With ``root=None`` there is no disk tier, only the memory and structure
+    tiers (what :class:`~repro.service.ArrayService` keeps by default).
     """
 
     _COUNTERS = ("hits", "misses", "stores", "memory_hits", "invalidations",
@@ -206,9 +211,10 @@ class PlanCache(obs_metrics.StatFields):
     fingerprint = staticmethod(optimization_fingerprint)
     structure_key = staticmethod(structure_key)
 
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: str | os.PathLike | None = None):
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self._init_stats("repro_plan_cache_")
         self._lock = threading.Lock()
         # fingerprint -> ((plan, analysis), stat signature), oldest first.
@@ -223,8 +229,8 @@ class PlanCache(obs_metrics.StatFields):
 
     # -- lookup ----------------------------------------------------------------
 
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / f"{fingerprint}.json"
+    def path_for(self, fingerprint: str) -> Path | None:
+        return self.root and self.root / f"{fingerprint}.json"
 
     def load(self, program: Program, params: Mapping[str, int],
              memory_cap_bytes: int | None = None,
@@ -317,21 +323,24 @@ class PlanCache(obs_metrics.StatFields):
             **knobs)
 
     def insert(self, fingerprint: str, program: Program, plan: Plan,
-               analysis: ProgramAnalysis | None = None, **knobs) -> Path:
+               analysis: ProgramAnalysis | None = None, **knobs) -> Path | None:
         """Persist ``plan`` under ``fingerprint`` (atomic).  With the
         ``analysis`` the plan was costed against, the pair also enters the
-        memory tier, so the next lookup need not re-derive it.  ``knobs``
-        are the search's (as for :func:`optimization_fingerprint`); the
-        costing ones are saved so a disk load re-costs under them."""
+        memory tier, so the next lookup need not re-derive it (without a
+        root, nothing else keeps it).  ``knobs`` are the search's
+        (as for :func:`optimization_fingerprint`); the costing ones are
+        saved so a disk load re-costs under them."""
         path = self.path_for(fingerprint)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        save_plan(tmp, plan, program, block_bytes=knobs.get("block_bytes"),
-                  dead_write_elimination=knobs.get("dead_write_elimination",
-                                                   True))
-        # Of the file this call wrote — rename keeps inode, size and mtime
-        # — not of whatever a concurrent writer renamed over it afterwards.
-        signature = _stat_signature(tmp)
-        os.rename(tmp, path)
+        signature = None
+        if path is not None:
+            tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+            save_plan(tmp, plan, program, block_bytes=knobs.get("block_bytes"),
+                      dead_write_elimination=knobs.get("dead_write_elimination",
+                                                       True))
+            # Of the file this call wrote — rename keeps inode, size and mtime
+            # — not of whatever a concurrent writer renamed over it afterwards.
+            signature = _stat_signature(tmp)
+            os.rename(tmp, path)
         with self._lock:
             self._stores.value += 1
             # Whatever memory held belonged to the file just replaced.
@@ -387,16 +396,20 @@ class PlanCache(obs_metrics.StatFields):
     # -- introspection -----------------------------------------------------------
 
     def __len__(self) -> int:
+        if self.root is None:
+            with self._lock:
+                return len(self._memory)
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
         with self._lock:
+            n = len(self._memory) if self.root is None else 0
             self._memory.clear()
             self._lattices.clear()
-        n = 0
-        for path in self.root.glob("*.json"):
-            path.unlink()
-            n += 1
+        if self.root is not None:
+            for path in self.root.glob("*.json"):
+                path.unlink()
+                n += 1
         return n
 
     def __repr__(self) -> str:

@@ -56,6 +56,7 @@ Resilience (see :mod:`repro.service.resilience` and docs/service.md):
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from collections import deque
@@ -74,10 +75,9 @@ from ..exceptions import (AdmissionRejected, AdmissionTimeout,
 from ..ir import ArrayKind, Program
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..optimizer import IOModel, Optimizer
+from ..optimizer import Optimizer
 from ..optimizer.plan import Plan
-from ..storage import (BufferPool, DAFMatrix, DatasetCatalog, FaultInjector,
-                       RetryPolicy, make_disk)
+from ..storage import BufferPool, DAFMatrix, DatasetCatalog, make_disk
 from .plan_cache import PlanCache, optimization_fingerprint
 from .resilience import (TRANSIENT, CircuitBreaker, DegradePolicy,
                          HealthController, JobRetryPolicy)
@@ -207,7 +207,7 @@ class _Job:
 
     __slots__ = ("key", "program", "params", "inputs", "memory_cap_bytes",
                  "plan", "plan_exact", "checkpoint", "resume",
-                 "admission_timeout", "workers", "prefetch_depth",
+                 "admission_timeout", "prefetch_depth",
                  "token", "retry", "t_submit")
 
     def __init__(self, **kw):
@@ -287,62 +287,38 @@ class ArrayService:
 
     def __init__(self, workdir, memory_cap_bytes: int,
                  workers: int = 4,
-                 io_model: IOModel | None = None,
                  plan_cache: "PlanCache | str | Path | None" = None,
                  max_pending: int | None = None,
                  admission_timeout: float | None = None,
-                 faults: "FaultInjector | int | None" = None,
-                 retry: RetryPolicy | None = None,
-                 atomic_writes: bool | None = None,
                  max_set_size: int | None = None,
                  max_candidates: int | None = None,
                  prefetch_depth: int = 0,
                  degrade: "DegradePolicy | bool | None" = None,
                  job_timeout: float | None = None,
-                 job_retry: "JobRetryPolicy | int | None" = None,
-                 shards: int = 1,
-                 stripe_bytes: int | None = None,
-                 io_pace: float = 0.0,
-                 pace_channels: int | None = None):
-        """Scale-out knobs (see docs/service.md "Scaling out"):
-
-        * ``shards`` — stripe the service disk across N independent
-          :class:`~repro.storage.sharding.ShardedDisk` shards (1 keeps the
-          plain single disk); ``stripe_bytes`` sets the stripe unit;
-        * ``io_pace`` / ``pace_channels`` — wall-clock pacing of counted
-          I/O and the per-disk cap on concurrent paced transfers (1 models
-          one device channel per shard, which is what makes shard counts
-          show up in throughput).
-        """
+                 job_retry: "JobRetryPolicy | int | None" = None):
+        """``workdir`` is a directory or a disk from
+        :func:`~repro.storage.make_disk`, which holds every storage
+        setting; the service owns the disk and closes it on shutdown.
+        Without a ``plan_cache`` (object or directory) the service keeps
+        an in-memory one."""
         if memory_cap_bytes <= 0:
             raise ServiceError("memory_cap_bytes must be positive")
         if workers < 1:
             raise ServiceError("workers must be >= 1")
         if prefetch_depth < 0:
             raise ServiceError("prefetch_depth must be >= 0")
-        if shards < 1:
-            raise ServiceError("shards must be >= 1")
-        self.workdir = Path(workdir)
+        self.disk = make_disk(workdir) \
+            if isinstance(workdir, (str, os.PathLike)) else workdir
+        self.workdir = self.disk.root
         self.memory_cap_bytes = int(memory_cap_bytes)
-        self.io_model = io_model or IOModel()
-        injector = FaultInjector.transient(seed=faults) \
-            if isinstance(faults, int) else faults
-        if atomic_writes is None:
-            atomic_writes = injector is not None
-        self.disk = make_disk(self.workdir, int(shards),
-                              stripe_bytes=stripe_bytes,
-                              io_model=self.io_model, pace=io_pace,
-                              pace_channels=pace_channels,
-                              fault_injector=injector, retry=retry,
-                              atomic_writes=atomic_writes)
-        if atomic_writes:
+        self.io_model = self.disk.io_model
+        if self.disk.atomic_writes:
             # A previous service process may have died mid-write; roll torn
             # regions back before any job opens a store.
             self.disk.recover()
         self.pool = BufferPool(self.memory_cap_bytes)
-        if isinstance(plan_cache, (str, Path)):
-            plan_cache = PlanCache(plan_cache)
-        self.plan_cache = plan_cache
+        self.plan_cache = plan_cache if isinstance(plan_cache, PlanCache) \
+            else PlanCache(plan_cache)
         self.max_pending = max_pending
         self.admission_timeout = admission_timeout
         self.max_set_size = max_set_size
@@ -443,7 +419,6 @@ class ArrayService:
                checkpoint: bool = False,
                resume: bool = False,
                admission_timeout: "float | None" = _UNSET,
-               workers: int | None = None,
                prefetch_depth: int | None = None,
                timeout: "float | None" = _UNSET,
                deadline: float | None = None,
@@ -457,7 +432,6 @@ class ArrayService:
         plan's high-water mark against the global budget.  ``plan`` skips
         planning entirely.  ``name`` must be unique among in-flight jobs
         and is required stable for ``checkpoint``/``resume`` pairs.
-        ``workers`` parallelizes this job's Apriori search (process pool).
         ``prefetch_depth`` overrides the service default; a job's staging
         budget (``depth`` × its largest block) is charged to admission on
         top of the plan's memory high-water mark, so staged bytes never
@@ -527,7 +501,7 @@ class ArrayService:
                    # that is what makes a retry a *resume*.
                    checkpoint=checkpoint or retry is not None,
                    resume=resume, admission_timeout=adm_timeout,
-                   workers=workers, prefetch_depth=depth,
+                   prefetch_depth=depth,
                    token=token, retry=retry, t_submit=time.monotonic())
         handle = JobHandle(token)
         try:
@@ -675,7 +649,6 @@ class ArrayService:
         result = opt.optimize(job.params, memory_cap_bytes=cap,
                               max_set_size=self.max_set_size,
                               max_candidates=self.max_candidates,
-                              workers=job.workers,
                               plan_cache=self.plan_cache)
         try:
             plan = result.best(cap)
@@ -697,15 +670,13 @@ class ArrayService:
         """
         t0 = time.monotonic()
         self.stats.degraded_plans += 1
-        fingerprint = None
-        if self.plan_cache is not None:
-            fingerprint = self._fingerprint(job)
-            cached = self.plan_cache.lookup(fingerprint, job.program,
-                                            job.params, self.io_model)
-            if cached is not None and cached[0].fits(cap):
-                obs_trace.instant("service.degraded_plan", "service",
-                                  job=job.key, source="cache")
-                return cached[0], True, time.monotonic() - t0, fingerprint
+        fingerprint = self._fingerprint(job)
+        cached = self.plan_cache.lookup(fingerprint, job.program, job.params,
+                                        self.io_model)
+        if cached is not None and cached[0].fits(cap):
+            obs_trace.instant("service.degraded_plan", "service",
+                              job=job.key, source="cache")
+            return cached[0], True, time.monotonic() - t0, fingerprint
         obs_trace.instant("service.degraded_plan", "service",
                           job=job.key, source="original")
         result = opt.optimize(job.params, memory_cap_bytes=cap,

@@ -65,21 +65,35 @@ def _name_base(name: str) -> int:
         hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
 
 
-def make_disk(root, shards: int = 1, *, stripe_bytes: int | None = None,
-              **kw):
-    """One disk or a sharded array of them, behind one construction call.
-
-    ``shards <= 1`` returns a plain :class:`SimulatedDisk` (no striping
-    layer at all — the single-disk fast path stays exactly what it was);
-    ``shards > 1`` returns a :class:`ShardedDisk`.  Keyword arguments are
-    forwarded to whichever is built.
+def make_disk(root, shards: int = 1, *, io_model: IOModel | None = None,
+              fault_injector: FaultInjector | None = None,
+              fault_injectors: "list[FaultInjector | None] | None" = None,
+              retry: RetryPolicy | None = None,
+              atomic_writes: bool | None = None, fsync: bool = False,
+              pace: float = 0.0, pace_channels: int | None = None,
+              stripe_bytes: int | None = None):
+    """The one place a run's storage is configured: a plain
+    :class:`SimulatedDisk` for ``shards == 1`` (no striping layer at all),
+    else a :class:`ShardedDisk`, whose faults ``fault_injectors`` may
+    confine per shard.  ``ArrayService`` and ``run_program`` run on it.
+    ``atomic_writes`` defaults on exactly when a fault injector is given:
+    the undo records roll back the writes a fault tears.
     """
-    if shards <= 1:
-        kw.pop("fault_injectors", None)
+    if shards < 1:
+        raise StorageError(f"shards must be >= 1, got {shards}")
+    if fault_injectors is not None and shards == 1:
+        raise StorageError("per-shard fault injectors need shards > 1")
+    if atomic_writes is None:
+        atomic_writes = fault_injector is not None \
+            or fault_injectors is not None
+    kw = dict(io_model=io_model, fault_injector=fault_injector, retry=retry,
+              atomic_writes=atomic_writes, fsync=fsync, pace=pace,
+              pace_channels=pace_channels)
+    if shards == 1:
         return SimulatedDisk(root, **kw)
-    if stripe_bytes is not None:
-        kw["stripe_bytes"] = stripe_bytes
-    return ShardedDisk(root, shards, **kw)
+    return ShardedDisk(root, shards, fault_injectors=fault_injectors,
+                       stripe_bytes=DEFAULT_STRIPE_BYTES
+                       if stripe_bytes is None else stripe_bytes, **kw)
 
 
 class ShardedDisk:

@@ -18,7 +18,7 @@ from repro.codegen import build_executable_plan
 from repro.engine import run_program
 from repro.exceptions import ExecutionError, StorageError
 from repro.optimizer import optimize
-from repro.storage import FaultInjector, FaultPolicy, RetryPolicy
+from repro.storage import FaultInjector, FaultPolicy, RetryPolicy, make_disk
 from tests.fixtures import two_matmul_program
 
 P = {"n1": 2, "n2": 2, "n3": 2, "n4": 2}
@@ -77,8 +77,8 @@ class TestFaultyRunsBitIdentical:
         counted bytes, every injected fault visible as a retry."""
         clean_report, clean_out = clean
         inj = FaultInjector(seed, [FaultPolicy(transient=0.1)])
-        report, outputs = run_program(prog, P, best, tmp_path, inputs,
-                                      faults=inj, retry=_no_backoff())
+        disk = make_disk(tmp_path, fault_injector=inj, retry=_no_backoff())
+        report, outputs = run_program(prog, P, best, disk, inputs)
         for name in clean_out:
             assert np.array_equal(outputs[name], clean_out[name]), name
         assert all(f.kind == "transient" for f in inj.trace)
@@ -90,17 +90,20 @@ class TestFaultyRunsBitIdentical:
     def test_high_rate_actually_exercises_retries(self, prog, best, inputs,
                                                   tmp_path):
         inj = FaultInjector(0, [FaultPolicy(transient=0.3)])
-        report, _ = run_program(prog, P, best, tmp_path, inputs,
-                                faults=inj, retry=_no_backoff(10))
+        disk = make_disk(tmp_path, fault_injector=inj,
+                         retry=_no_backoff(10))
+        report, _ = run_program(prog, P, best, disk, inputs)
         assert report.io.retries > 0
         assert inj.counts()["transient"] == report.io.retries
 
     def test_seed_as_faults_shorthand(self, prog, best, inputs, clean,
                                       tmp_path):
-        """``faults=<int>`` means the default 5%-transient policy."""
+        """``FaultInjector.transient(<seed>)`` is the default 5%-transient
+        policy."""
         _, clean_out = clean
-        report, outputs = run_program(prog, P, best, tmp_path, inputs,
-                                      faults=7, retry=_no_backoff())
+        disk = make_disk(tmp_path, fault_injector=FaultInjector.transient(7),
+                         retry=_no_backoff())
+        report, outputs = run_program(prog, P, best, disk, inputs)
         for name in clean_out:
             assert np.array_equal(outputs[name], clean_out[name]), name
 
@@ -111,9 +114,10 @@ class TestCheckpointResume:
         inj = FaultInjector(0, [FaultPolicy(op="write", transient=1.0,
                                             after=after)])
         with pytest.raises(StorageError, match="failed after"):
-            run_program(prog, P, best, workdir, inputs, faults=inj,
-                        retry=RetryPolicy(0, backoff_base=0),
-                        checkpoint=True)
+            run_program(prog, P, best,
+                        make_disk(workdir, fault_injector=inj,
+                                  retry=RetryPolicy(0, backoff_base=0)),
+                        inputs, checkpoint=True)
 
     def test_killed_mid_plan_resumes_identically(self, prog, best, inputs,
                                                  clean, total_instances,

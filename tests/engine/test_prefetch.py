@@ -15,7 +15,7 @@ from repro.exceptions import (BufferPoolError, CorruptBlockError,
 from repro.ir import ArrayKind
 from repro.optimizer import IOModel, optimize
 from repro.storage import (BufferPool, DAFMatrix, FaultInjector, FaultPolicy,
-                           RetryPolicy, SimulatedDisk)
+                           RetryPolicy, SimulatedDisk, make_disk)
 from tests.fixtures import example1_program
 
 P = {"n1": 2, "n2": 2, "n3": 2}
@@ -191,9 +191,10 @@ class TestResumeComposition:
         inj = FaultInjector(0, [FaultPolicy(op="write", transient=1.0,
                                             after=3)])
         with pytest.raises(StorageError, match="failed after"):
-            run_program(prog, P, best, workdir, inputs, faults=inj,
-                        retry=RetryPolicy(0, backoff_base=0),
-                        checkpoint=True, prefetch_depth=depth)
+            run_program(prog, P, best,
+                        make_disk(workdir, fault_injector=inj,
+                                  retry=RetryPolicy(0, backoff_base=0)),
+                        inputs, checkpoint=True, prefetch_depth=depth)
 
     def test_interrupted_prefetch_run_resumes_like_serial(
             self, prog, best, inputs, truth, tmp_path_factory):

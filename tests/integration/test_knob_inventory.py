@@ -18,15 +18,15 @@ import pytest
 from repro.advisor import AdvisorConfig
 from repro.engine.executor import execute_plan, run_job, run_program
 from repro.service import ArrayService, JobSpec
+from repro.storage import make_disk
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 INVENTORY = {
     "run_program": """
-        program params plan workdir inputs io_model memory_cap_bytes
-        plan_exact faults retry atomic_writes checkpoint resume tracer
-        validate prefetch_depth prefetch_budget_bytes io_pace shards
-        stripe_bytes pace_channels""",
+        program params plan workdir inputs memory_cap_bytes plan_exact
+        checkpoint resume tracer validate prefetch_depth
+        prefetch_budget_bytes""",
     "run_job": """
         program params plan inputs disk names catalog breaker_for
         journal_path resume pool memory_cap_bytes plan_exact prefetch_depth
@@ -35,14 +35,16 @@ INVENTORY = {
         plan stores disk memory_cap_bytes plan_exact journal resume pool
         prefetch_depth prefetch_budget_bytes cancel""",
     "ArrayService.__init__": """
-        workdir memory_cap_bytes workers io_model plan_cache max_pending
-        admission_timeout faults retry atomic_writes max_set_size
-        max_candidates prefetch_depth degrade job_timeout job_retry shards
-        stripe_bytes io_pace pace_channels""",
+        workdir memory_cap_bytes workers plan_cache max_pending
+        admission_timeout max_set_size max_candidates prefetch_depth degrade
+        job_timeout job_retry""",
     "ArrayService.submit": """
         program params inputs name memory_cap_bytes plan plan_exact
-        checkpoint resume admission_timeout workers prefetch_depth timeout
-        deadline retry""",
+        checkpoint resume admission_timeout prefetch_depth timeout deadline
+        retry""",
+    "make_disk": """
+        root shards io_model fault_injector fault_injectors retry
+        atomic_writes fsync pace pace_channels stripe_bytes""",
     "AdvisorConfig.__slots__": """
         jobs memory_cap_bytes prefetch_depth io_model max_set_size
         max_candidates workers plan_cache""",
@@ -80,6 +82,7 @@ ACTUAL = {
     "execute_plan": lambda: _params(execute_plan),
     "ArrayService.__init__": lambda: _params(ArrayService.__init__),
     "ArrayService.submit": lambda: _params(ArrayService.submit),
+    "make_disk": lambda: _params(make_disk),
     "AdvisorConfig.__slots__": lambda: list(AdvisorConfig.__slots__),
     "JobSpec.__slots__": lambda: list(JobSpec.__slots__),
     "repro serve --help": _serve_flags,

@@ -8,6 +8,7 @@ from repro.advisor.blocksize import BlockSizeAdvisor
 from repro.baselines import manual_best, matlab_like, scidb_like
 from repro.exceptions import OptimizationError
 from repro.ops import add_multiply_program
+from repro.storage import make_disk
 from repro.workloads import (add_multiply_config, generate_inputs,
                              linreg_config, two_matmul_config)
 
@@ -69,8 +70,9 @@ class TestBaselines:
         m = matlab_like(prog, SMALL, result, mk("m"), inputs)
         s = scidb_like(prog, SMALL, result, mk("s"), inputs)
         h = manual_best(prog, SMALL, result, mk("h"), inputs)
-        ours, _ = run_program(prog, SMALL, result.best(), mk("o"), inputs,
-                              io_model=result.io_model)
+        ours, _ = run_program(prog, SMALL, result.best(),
+                              make_disk(mk("o"), io_model=result.io_model),
+                              inputs)
         assert h.total_seconds <= ours.simulated_total_seconds * 1.05
         assert m.total_seconds > ours.simulated_total_seconds
         assert s.total_seconds >= m.total_seconds * 0.9

@@ -9,7 +9,7 @@ from repro.obs.validate import (RESUME_STMT, CostValidation, ValidationRow,
                                 actual_io_from_events, validate_cost)
 from repro.optimizer import optimize
 from repro.report import predicted_vs_actual_csv
-from repro.storage import FaultInjector, FaultPolicy, RetryPolicy
+from repro.storage import FaultInjector, FaultPolicy, RetryPolicy, make_disk
 from tests.fixtures import example1_program
 
 P = {"n1": 2, "n2": 2, "n3": 1}
@@ -101,9 +101,9 @@ class TestFaultedAudit:
         the audit carries the counters that explain the read-byte excess."""
         inj = FaultInjector(5, [FaultPolicy(match="A.daf", op="read",
                                             corrupt=1.0, max_faults=1)])
-        report, outputs = run_program(prog, P, result.best(), tmp_path,
-                                      inputs, faults=inj,
-                                      retry=RetryPolicy(5, backoff_base=0),
+        disk = make_disk(tmp_path, fault_injector=inj,
+                         retry=RetryPolicy(5, backoff_base=0))
+        report, outputs = run_program(prog, P, result.best(), disk, inputs,
                                       validate=True)
         assert report.io.checksum_failures == 1
         v = report.validation
@@ -128,9 +128,9 @@ class TestFaultedAudit:
         """Failed transient attempts transfer nothing counted, so the audit
         still passes byte-exact."""
         inj = FaultInjector(1, [FaultPolicy(transient=0.2)])
-        report, _ = run_program(prog, P, result.best(), tmp_path, inputs,
-                                faults=inj,
-                                retry=RetryPolicy(8, backoff_base=0),
+        disk = make_disk(tmp_path, fault_injector=inj,
+                         retry=RetryPolicy(8, backoff_base=0))
+        report, _ = run_program(prog, P, result.best(), disk, inputs,
                                 validate=True)
         assert report.io.retries > 0
         assert report.validation.passed
@@ -140,9 +140,9 @@ class TestFaultedAudit:
                                              tmp_path):
         inj = FaultInjector(5, [FaultPolicy(match="A.daf", op="read",
                                             corrupt=1.0, max_faults=1)])
-        report, _ = run_program(prog, P, result.best(), tmp_path, inputs,
-                                faults=inj,
-                                retry=RetryPolicy(5, backoff_base=0),
+        disk = make_disk(tmp_path, fault_injector=inj,
+                         retry=RetryPolicy(5, backoff_base=0))
+        report, _ = run_program(prog, P, result.best(), disk, inputs,
                                 validate=0.5)
         assert report.validation.tolerance == 0.5
         assert report.validation.passed

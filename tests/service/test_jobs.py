@@ -60,6 +60,36 @@ class TestParser:
         assert (b.timeout, b.retries, b.checkpoint, b.resume) == \
             (None, None, False, False)
 
+    def test_default_name_skips_names_a_line_uses(self, tmp_path):
+        p = tmp_path / "jobs.jsonl"
+        p.write_text('{"program": "linreg", "params": {"n": 2}, '
+                     '"name": "w2"}\n'
+                     '{"program": "linreg", "params": {"n": 2}}\n')
+        names = [j.name for j in WorkloadSpec.from_jsonl(p).expanded()]
+        assert len(set(names)) == 2 and names[0] == "w2"
+
+    def test_default_names_unchanged_without_a_collision(self):
+        spec = WorkloadSpec([JobSpec("linreg", {"n": 2}, name="w1"),
+                             JobSpec("linreg", {"n": 2}, count=2),
+                             JobSpec("linreg", {"n": 2})])
+        assert [j.name for j in spec.expanded()] == \
+            ["w1", "w2_r1", "w2_r2", "w3"]
+
+    @pytest.mark.parametrize("second", ['"name": "a"', '"name": "b_r2"'])
+    def test_duplicate_name_rejected_with_path_and_line(self, tmp_path,
+                                                        second):
+        p = tmp_path / "jobs.jsonl"
+        p.write_text('{"program": "linreg", "params": {"n": 2}, '
+                     '"name": "a"}\n'
+                     '{"program": "linreg", "params": {"n": 2}, '
+                     '"name": "b", "count": 2}\n\n'
+                     f'{{"program": "linreg", "params": {{"n": 2}}, '
+                     f'{second}}}\n')
+        with pytest.raises(JobSpecError,
+                           match=r"jobs\.jsonl:4: duplicate job name "
+                                 r".* \(first at .*jobs\.jsonl:[12]\)"):
+            WorkloadSpec.from_jsonl(p)
+
 
 class _RecordingService:
     def submit(self, program, params, inputs, **kwargs):
@@ -99,6 +129,14 @@ class TestServe:
                         if ln.startswith(f"job {name}:"))
             assert line.endswith("verified: True")
         assert "3/3 jobs completed" in out
+
+    def test_zero_shards_exits_with_an_error(self, tmp_path):
+        p = tmp_path / "jobs.jsonl"
+        p.write_text(LINE + "}\n")
+        with pytest.raises(SystemExit, match="shards must be >= 1"):
+            main(["serve", str(p), "--shards", "0",
+                  "--workdir", str(tmp_path / "w")])
+        assert not (tmp_path / "w").exists()
 
     def test_spec_error_exits_with_path_and_line(self, tmp_path):
         p = tmp_path / "jobs.jsonl"

@@ -179,6 +179,47 @@ class TestServiceOnMemoryHit:
                 _same_plan(program, cold[0].best(CAP), r.plan)
 
 
+class TestNoDirectory:
+    def test_cacheless_service_plans_a_template_once(self, prog, cold,
+                                                     tmp_path):
+        rng = np.random.default_rng(3)
+        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1) as svc:
+            cache = svc.plan_cache
+            results = []
+            for _ in range(2):
+                program = example1_program()
+                inputs = {n: rng.standard_normal(
+                    program.arrays[n].shape_elems(P)) for n in "ABD"}
+                r = svc.run(program, P, inputs)
+                expected = reference_outputs(program, P, inputs)
+                assert np.allclose(r.outputs["E"], expected["E"])
+                results.append(r)
+        assert cache.root is None
+        assert [r.cache_hit for r in results] == [False, True]
+        assert (cache.misses, cache.hits, cache.memory_hits,
+                cache.stores, len(cache)) == (1, 1, 1, 1, 1)
+        _same_plan(prog, cold[0].best(CAP), results[1].plan)
+
+    def test_memory_and_structure_tiers_without_a_directory(self, prog,
+                                                            cold):
+        cache = PlanCache()
+        assert optimize(prog, P, memory_cap_bytes=CAP,
+                        plan_cache=cache).stats.candidates_tested > 0
+        again = optimize(prog, P, memory_cap_bytes=CAP, plan_cache=cache)
+        assert again.cache_hit
+        _same_plan(prog, cold[0].best(CAP), again.best(CAP))
+        coarse = example1_program(block_rows=120, block_cols=80)
+        recosted = optimize(coarse, P, memory_cap_bytes=CAP,
+                            plan_cache=cache)
+        assert not recosted.cache_hit
+        assert recosted.stats.candidates_tested == 0
+        assert (cache.hits, cache.misses, cache.structure_hits,
+                cache.stores) == (1, 2, 1, 2)
+        assert cache.clear() == 2 and len(cache) == 0
+        assert not optimize(prog, P, memory_cap_bytes=CAP,
+                            plan_cache=cache).cache_hit
+
+
 class TestConcurrentLoads:
     def test_8_threads_50_loads_one_plan(self, prog, warm_dir):
         cache = PlanCache(warm_dir)

@@ -29,7 +29,7 @@ from repro.service import ArrayService
 from repro.service.resilience import (PERMANENT, TRANSIENT, CircuitBreaker,
                                       DegradePolicy, JobRetryPolicy,
                                       classify_error)
-from repro.storage import FaultInjector
+from repro.storage import FaultInjector, make_disk
 from repro.storage.faults import FaultPolicy
 
 P = {"n1": 2, "n2": 2, "n3": 1}
@@ -158,8 +158,9 @@ class TestRetryWithResume:
                         after=1, max_faults=6)])
 
     def test_transient_failure_retried_via_resume(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1,
-                          faults=self._probe_injector()) as svc:
+        with ArrayService(make_disk(tmp_path,
+                                    fault_injector=self._probe_injector()),
+                          memory_cap_bytes=CAP, workers=1) as svc:
             r = svc.submit(prog, P, _inputs(prog, 0), name="probe",
                            retry=JobRetryPolicy(max_attempts=3,
                                                 backoff_base=0.001)
@@ -175,8 +176,9 @@ class TestRetryWithResume:
                 assert np.allclose(r.outputs[name], expected[name])
 
     def test_int_retry_shorthand(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1,
-                          faults=self._probe_injector()) as svc:
+        with ArrayService(make_disk(tmp_path,
+                                    fault_injector=self._probe_injector()),
+                          memory_cap_bytes=CAP, workers=1) as svc:
             r = svc.submit(prog, P, _inputs(prog, 0), name="probe",
                            retry=3).result(timeout=120)
             assert r.attempts == 2
@@ -184,8 +186,8 @@ class TestRetryWithResume:
     def test_exhausted_retries_surface_the_error(self, prog, tmp_path):
         injector = FaultInjector(seed=7, policies=[
             FaultPolicy(match="probe__*", op="write", transient=1.0)])
-        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1,
-                          faults=injector) as svc:
+        with ArrayService(make_disk(tmp_path, fault_injector=injector),
+                          memory_cap_bytes=CAP, workers=1) as svc:
             with pytest.raises(StorageError):
                 svc.submit(prog, P, _inputs(prog, 0), name="probe",
                            retry=JobRetryPolicy(max_attempts=2,
@@ -204,8 +206,9 @@ class TestRetryWithResume:
             assert svc.stats.retries_attempted == 0
 
     def test_service_default_retry_applies(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1,
-                          faults=self._probe_injector(),
+        with ArrayService(make_disk(tmp_path,
+                                    fault_injector=self._probe_injector()),
+                          memory_cap_bytes=CAP, workers=1,
                           job_retry=3) as svc:
             r = svc.submit(prog, P, _inputs(prog, 0),
                            name="probe").result(timeout=120)

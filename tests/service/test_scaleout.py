@@ -9,11 +9,15 @@
 import numpy as np
 import pytest
 
-from repro import add_multiply_program, optimize, run_program
-from repro.exceptions import ServiceError
+from repro import (add_multiply_program, optimize, reference_outputs,
+                   run_program)
+from repro.exceptions import ServiceError, StorageError
 from repro.obs import metrics as obs_metrics
 from repro.ops import Pipeline
 from repro.service import ArrayService, classify_error
+from repro.optimizer import IOModel
+from repro.optimizer.costing import MB
+from repro.storage import FaultInjector, FaultPolicy, RetryPolicy, make_disk
 
 P = {"n1": 2, "n2": 2, "n3": 1}
 CAP = 4 << 20
@@ -146,8 +150,8 @@ class TestShardedServiceDisk:
         with ArrayService(tmp_path / "s1", memory_cap_bytes=4 * CAP,
                           workers=2) as svc:
             base = _run(svc, prog, (8, 9), best_plan)
-        with ArrayService(tmp_path / "s4", memory_cap_bytes=4 * CAP,
-                          workers=2, shards=4) as svc:
+        with ArrayService(make_disk(tmp_path / "s4", 4),
+                          memory_cap_bytes=4 * CAP, workers=2) as svc:
             sharded = _run(svc, prog, (8, 9), best_plan)
         for b, s in zip(base, sharded):
             for name in b.outputs:
@@ -157,8 +161,64 @@ class TestShardedServiceDisk:
     def test_job_seconds_histogram_observes_completions(self, prog,
                                                         best_plan,
                                                         tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP,
-                          workers=2, shards=2) as svc:
+        with ArrayService(make_disk(tmp_path, 2), memory_cap_bytes=4 * CAP,
+                          workers=2) as svc:
             _run(svc, prog, (0, 1, 2), best_plan)
             assert svc.stats.job_seconds.count == 3
             assert svc.stats.job_seconds.quantile(0.5) is not None
+
+
+class TestGivenDisk:
+    """A sharded, faulted disk with its own I/O model, built by
+    ``make_disk``, is the storage config of the service and of
+    ``run_program`` alike."""
+
+    MODEL = IOModel(read_bw=40 * MB, write_bw=10 * MB)
+
+    def _disk(self, root):
+        inj = FaultInjector(5, [FaultPolicy(transient=0.2)])
+        return make_disk(root, 2, io_model=self.MODEL, stripe_bytes=8192,
+                         fault_injectors=[inj, None],
+                         retry=RetryPolicy(max_retries=8, backoff_base=0))
+
+    def test_service_runs_on_the_disk_it_is_handed(self, prog, tmp_path):
+        disk = self._disk(tmp_path)
+        inputs = _inputs(prog, 4)
+        with ArrayService(disk, memory_cap_bytes=CAP, workers=2) as svc:
+            assert svc.disk is disk and svc.io_model is disk.io_model
+            assert svc.workdir == disk.root
+            r = svc.run(prog, P, inputs, plan_exact=True)
+        assert disk.atomic_writes
+        expected = reference_outputs(prog, P, inputs)
+        assert np.allclose(r.outputs["E"], expected["E"])
+        assert r.report.io.read_bytes == r.plan.cost.read_bytes
+        assert r.report.io.write_bytes == r.plan.cost.write_bytes
+        assert disk.stats.retries > 0
+        assert r.report.simulated_io_seconds == self.MODEL.seconds(
+            r.plan.cost.read_bytes, r.plan.cost.write_bytes)
+        # Planned under the disk's model, not the default one.
+        _same_plan(optimize(prog, P, io_model=self.MODEL).best(CAP), r.plan)
+        with pytest.raises(StorageError, match="closed"):
+            disk.open("x")
+
+    def test_run_program_runs_on_the_disk_it_is_handed(self, prog, tmp_path):
+        disk = self._disk(tmp_path)
+        inputs = _inputs(prog, 4)
+        plan = optimize(prog, P, io_model=self.MODEL).best(CAP)
+        report, out = run_program(prog, P, plan, disk, inputs, validate=True)
+        expected = reference_outputs(prog, P, inputs)
+        assert np.allclose(out["E"], expected["E"])
+        assert report.io.read_bytes == plan.cost.read_bytes
+        assert report.io.write_bytes == plan.cost.write_bytes
+        assert report.io.retries > 0
+        assert report.validation.passed
+        assert report.simulated_io_seconds == self.MODEL.seconds(
+            plan.cost.read_bytes, plan.cost.write_bytes)
+        with pytest.raises(StorageError, match="closed"):
+            disk.open("x")
+
+
+def _same_plan(a, b):
+    assert a.realized_labels == b.realized_labels
+    for f in a.cost.__slots__:
+        assert getattr(a.cost, f) == getattr(b.cost, f), f

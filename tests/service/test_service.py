@@ -27,7 +27,7 @@ from repro.exceptions import (AdmissionRejected, AdmissionTimeout,
 from repro.obs import trace as obs_trace
 from repro.service import ArrayService
 from repro.storage import (DAFMatrix, DatasetCatalog, FaultInjector,
-                           FaultPolicy, RetryPolicy)
+                           FaultPolicy, RetryPolicy, make_disk)
 from repro.storage import disk as storage_disk
 
 P = {"n1": 2, "n2": 2, "n3": 1}
@@ -269,9 +269,9 @@ class TestFaultToleranceComposition:
         expected = reference_outputs(prog, P, inputs)
         # rate=0.5: with only ~14 counted ops per job, the default 5% rate
         # can legitimately fire zero faults — force real retry traffic.
-        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP, workers=2,
-                          faults=FaultInjector.transient(seed=11,
-                                                         rate=0.5)) as svc:
+        disk = make_disk(tmp_path, fault_injector=FaultInjector.transient(
+            seed=11, rate=0.5))
+        with ArrayService(disk, memory_cap_bytes=2 * CAP, workers=2) as svc:
             futures = [svc.submit(prog, P, inputs, plan=best_plan)
                        for _ in range(2)]
             results = [f.result(timeout=120) for f in futures]
@@ -352,8 +352,8 @@ class TestPrivateStoreLifetime:
         injector = FaultInjector(seed=3, policies=[
             FaultPolicy(match="elide__E.daf", op="write", transient=1.0,
                         after=1, max_faults=5)])
-        with ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
-                          faults=injector) as svc:
+        with ArrayService(make_disk(tmp_path, fault_injector=injector),
+                          memory_cap_bytes=2 * CAP) as svc:
             with pytest.raises(StorageError):
                 svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
                         name="elide", checkpoint=True)
@@ -375,8 +375,9 @@ class TestPrivateStoreLifetime:
         injector = FaultInjector(seed=7, policies=[
             FaultPolicy(match="probe__*", op="write", transient=1.0,
                         after=1, max_faults=6)])
-        with ArrayService(tmp_path / "faulty", memory_cap_bytes=2 * CAP,
-                          faults=injector) as svc:
+        with ArrayService(make_disk(tmp_path / "faulty",
+                                    fault_injector=injector),
+                          memory_cap_bytes=2 * CAP) as svc:
             with pytest.raises(StorageError):
                 svc.run(prog, P, inputs, plan=best_plan, plan_exact=True,
                         name="probe", checkpoint=True)
@@ -464,9 +465,10 @@ class TestDatasetCatalog:
                         max_faults=3)])
         tracer = obs_trace.Tracer()
         with obs_trace.use(tracer), \
-                ArrayService(tmp_path, memory_cap_bytes=2 * CAP,
-                             faults=injector, shards=shards,
-                             retry=RetryPolicy(backoff_base=0)) as svc:
+                ArrayService(make_disk(tmp_path, shards,
+                                       fault_injector=injector,
+                                       retry=RetryPolicy(backoff_base=0)),
+                             memory_cap_bytes=2 * CAP) as svc:
             r = svc.run(prog, P, inputs, plan=best_plan, plan_exact=True)
         assert np.allclose(r.outputs["E"], expected["E"])
         datasets = {ArrayService._dataset_name(inputs[n], prog.arrays[n])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine import run_program
-from repro.exceptions import ExecutionError, StorageError
+from repro.exceptions import StorageError
 from repro.optimizer import optimize
 from repro.storage import DAFMatrix, ShardedDisk, SimulatedDisk, make_disk
 from repro.storage.faults import FaultInjector, FaultPolicy, RetryPolicy
@@ -81,6 +81,10 @@ class TestStripePlacement:
     def test_nshards_validated(self, tmp_path):
         with pytest.raises(StorageError):
             ShardedDisk(tmp_path, 0)
+
+    def test_make_disk_rejects_zero_shards(self, tmp_path):
+        with pytest.raises(StorageError, match="shards"):
+            make_disk(tmp_path, 0)
 
 
 class TestDAFParity:
@@ -186,8 +190,8 @@ class TestRunProgramOnShards:
             prog, P, plan, tmp_path_factory.mktemp("s1"), inputs)
         for n in (2, 4):
             report, out = run_program(
-                prog, P, plan, tmp_path_factory.mktemp(f"s{n}"), inputs,
-                shards=n, stripe_bytes=8192)
+                prog, P, plan, make_disk(tmp_path_factory.mktemp(f"s{n}"), n,
+                                         stripe_bytes=8192), inputs)
             assert np.array_equal(out["E"], base_out["E"])
             assert report.io.read_bytes == base_report.io.read_bytes
             assert report.io.write_bytes == base_report.io.write_bytes
@@ -197,9 +201,10 @@ class TestRunProgramOnShards:
                                           tmp_path):
         inj = FaultInjector(7, [FaultPolicy(transient=0.3)])
         report, out = run_program(
-            prog, P, plan, tmp_path, inputs,
-            shards=2, faults=[inj, None],
-            retry=RetryPolicy(max_retries=6), prefetch_depth=4)
+            prog, P, plan,
+            make_disk(tmp_path, 2, fault_injectors=[inj, None],
+                      retry=RetryPolicy(max_retries=6)),
+            inputs, prefetch_depth=4)
         truth = (inputs["A"] + inputs["B"]) @ inputs["D"]
         assert np.allclose(out["E"], truth)
         assert report.io.retries > 0
@@ -207,18 +212,19 @@ class TestRunProgramOnShards:
     def test_per_shard_faults_require_shards(self, prog, plan, inputs,
                                              tmp_path):
         inj = FaultInjector(7, [FaultPolicy(transient=0.3)])
-        with pytest.raises(ExecutionError):
-            run_program(prog, P, plan, tmp_path, inputs,
-                        faults=[inj, None])
+        with pytest.raises(StorageError):
+            make_disk(tmp_path, fault_injectors=[inj, None])
 
     def test_checkpoint_resume_over_shards(self, prog, plan, inputs,
                                            tmp_path):
         # Same checkpoint/resume contract as a single disk: a clean rerun
         # with resume=True replays the journal instead of recomputing.
-        report1, out1 = run_program(prog, P, plan, tmp_path, inputs,
-                                    shards=2, checkpoint=True)
-        report2, out2 = run_program(prog, P, plan, tmp_path, inputs,
-                                    shards=2, checkpoint=True, resume=True)
+        report1, out1 = run_program(
+            prog, P, plan, make_disk(tmp_path, 2, atomic_writes=True),
+            inputs, checkpoint=True)
+        report2, out2 = run_program(
+            prog, P, plan, make_disk(tmp_path, 2, atomic_writes=True),
+            inputs, checkpoint=True, resume=True)
         assert np.array_equal(out1["E"], out2["E"])
         assert report2.resumed_from is not None
 
