@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..exceptions import OptimizationError
 from ..obs import metrics as obs_metrics
-from ..optimizer import Optimizer, Plan
+from ..optimizer import Plan, optimize
 from ..service.jobs import JobSpec
 from .apply import AdvisorConfig
 from .recommendations import Recommendation, rank
@@ -65,11 +65,10 @@ class AdvisorContext:
             cap = self.cap_for(job)
         key = job.template_key() + (cap,)
         if key not in self._plans:
-            opt = Optimizer(job.build_program(),
-                            io_model=self.config.io_model)
             try:
-                result = opt.optimize(
-                    job.params, memory_cap_bytes=cap,
+                result = optimize(
+                    job.build_program(), job.params,
+                    io_model=self.config.io_model, memory_cap_bytes=cap,
                     max_set_size=self.config.max_set_size,
                     max_candidates=self.config.max_candidates, prune=True)
                 self._plans[key] = result.best(cap)

@@ -142,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--job-retries", type=int, default=None, metavar="N",
                        help="retry transiently-failed jobs up to N attempts, "
                             "resuming from the checkpoint journal so only "
-                            "unfinished instances re-execute")
+                            "unfinished instances re-execute (jobs may "
+                            "override with \"retries\")")
     serve.add_argument("--degrade", action="store_true",
                        help="enable overload-aware degradation: shed new "
                             "jobs past the backlog watermark, throttle "
@@ -376,6 +377,12 @@ def _serve(args) -> int:
         jobs = WorkloadSpec.from_jsonl(args.jobs).expanded()
     except JobSpecError as err:
         raise SystemExit(str(err))
+    # --deadline / --job-retries are defaults for the lines that set none.
+    for job in jobs:
+        if job.timeout is None:
+            job.timeout = args.deadline
+        if job.retries is None:
+            job.retries = args.job_retries
     observing = bool(args.metrics_out)
     registry = None
     if observing:
@@ -395,8 +402,6 @@ def _serve(args) -> int:
                           plan_cache=args.plan_cache,
                           admission_timeout=args.admission_timeout,
                           prefetch_depth=args.prefetch,
-                          job_timeout=args.deadline,
-                          job_retry=args.job_retries,
                           degrade=bool(args.degrade)) as svc:
             futures = [(job, submit_job(svc, job)) for job in jobs]
             for job, fut in futures:

@@ -190,12 +190,10 @@ class ExecutablePlan:
 
 
 def build_executable_plan(program: Program, params: Mapping[str, int],
-                          plan: Plan,
-                          dead_write_elimination: bool = True) -> ExecutablePlan:
+                          plan: Plan) -> ExecutablePlan:
     """Lower an optimizer plan to an executable plan."""
     return _from_trace(program, params, plan.schedule,
-                       trace_plan(program, params, plan.schedule, plan.realized,
-                                  dead_write_elimination))
+                       trace_plan(program, params, plan.schedule, plan.realized))
 
 
 def _from_trace(program: Program, params: Mapping[str, int],

@@ -167,7 +167,6 @@ def _resume_state(plan: ExecutablePlan, completed: int, plan_exact: bool
 
 def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
                  disk: SimulatedDisk,
-                 memory_cap_bytes: int | None = None,
                  plan_exact: bool = True,
                  journal: ExecutionJournal | None = None,
                  resume: bool = False,
@@ -177,12 +176,12 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
                  cancel: "CancelToken | None" = None) -> ExecutionReport:
     """Run an executable plan against open stores on ``disk``.
 
-    ``pool`` injects an externally owned buffer pool (``memory_cap_bytes``
-    is then ignored — the injected pool already enforces its own cap).
-    This is how :mod:`repro.service` runs many concurrent queries over one
-    shared :class:`~repro.storage.BufferPool`: blocks another query
-    loaded are hits here, and the pool-level statistics in the returned
-    report then aggregate over every query sharing the pool.
+    ``pool`` is the buffer pool to run on, which enforces its own cap;
+    without one the run gets a private, uncapped pool.  This is how
+    :mod:`repro.service` runs many concurrent queries over one shared
+    :class:`~repro.storage.BufferPool`: blocks another query loaded are
+    hits here, and the pool-level statistics in the returned report then
+    aggregate over every query sharing the pool.
 
     ``prefetch_depth`` > 0 overlaps I/O with compute: a background reader
     thread stages up to that many upcoming READ blocks into the pool
@@ -201,7 +200,7 @@ def execute_plan(plan: ExecutablePlan, stores: Mapping[str, object],
     leaving a checkpointed run resumable.
     """
     if pool is None:
-        pool = BufferPool(memory_cap_bytes)
+        pool = BufferPool()
     start_stats = disk.stats.snapshot()
     cpu = 0.0
     t_wall = time.perf_counter()
@@ -516,8 +515,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             catalog: DatasetCatalog | None = None,
             breaker_for: Callable[[str], object] = lambda name: None,
             journal_path: "Path | None" = None, resume: bool = False,
-            pool: BufferPool | None = None,
-            memory_cap_bytes: int | None = None, plan_exact: bool = True,
+            pool: BufferPool | None = None, plan_exact: bool = True,
             prefetch_depth: int = 0,
             prefetch_budget_bytes: int | None = None,
             cancel: "CancelToken | None" = None
@@ -540,8 +538,7 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
       and an existing journal the job's own stores are rolled back to
       their pre-write images, reopened, and execution continues from the
       last consistent instance;
-    * ``pool`` — the pool to run on, else a private one capped at
-      ``memory_cap_bytes``.
+    * ``pool`` — the pool to run on, else a private uncapped one.
 
     An intermediate outside ``exec_plan.disk_arrays()`` gets an
     :class:`UnstoredArray` and no file.
@@ -601,8 +598,8 @@ def run_job(program: Program, params: Mapping[str, int], plan: Plan,
             stores[lname] = open_store(lname)
         counted = {n: CountingStore(s, breaker_for(names[n]))
                    for n, s in stores.items()}
-        report = execute_plan(exec_plan, counted, disk, memory_cap_bytes,
-                              plan_exact, journal=journal, resume=resuming,
+        report = execute_plan(exec_plan, counted, disk, plan_exact,
+                              journal=journal, resume=resuming,
                               pool=pool, prefetch_depth=prefetch_depth,
                               prefetch_budget_bytes=prefetch_budget_bytes,
                               cancel=cancel)
@@ -632,10 +629,8 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
                 plan_exact: bool = True,
                 checkpoint: bool = False,
                 resume: bool = False,
-                tracer: "obs_trace.Tracer | None" = None,
                 validate: "bool | float" = False,
-                prefetch_depth: int = 0,
-                prefetch_budget_bytes: int | None = None
+                prefetch_depth: int = 0
                 ) -> tuple[ExecutionReport, dict[str, np.ndarray]]:
     """Create storage, load inputs, execute, read back outputs.
 
@@ -647,19 +642,18 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
     disk when it ends.
 
     ``inputs`` maps input-array names to dense matrices of the full (scaled)
-    shape.  Returns the execution report and the dense contents of every
-    OUTPUT array.
+    shape.  The run's buffer pool is capped at ``memory_cap_bytes``.
+    Returns the execution report and the dense contents of every OUTPUT
+    array.
 
-    Observability:
-
-    * ``tracer`` — scope this run onto the given trace bus (otherwise the
-      globally installed tracer, if any, is used);
-    * ``validate`` — audit the cost model: join the plan's predicted I/O
-      against the traced actuals per statement and per array, attaching the
-      :class:`~repro.obs.validate.CostValidation` as ``report.validation``.
-      ``True`` audits byte-exact; a float is the relative byte tolerance.
-      Needs an event-keeping tracer; one is created automatically when none
-      is installed.
+    Observability: the run traces onto the installed trace bus, if any
+    (scope one with :func:`repro.obs.trace.use`).  ``validate`` audits the
+    cost model: it joins the plan's predicted I/O against the traced
+    actuals per statement and per array, attaching the
+    :class:`~repro.obs.validate.CostValidation` as ``report.validation``.
+    ``True`` audits byte-exact; a float is the relative byte tolerance.
+    It needs an event-keeping tracer; one is created for the run when none
+    is installed.
 
     Fault tolerance (injected faults are absorbed by the disk's retry
     policy, counted in ``report.io.retries``):
@@ -672,30 +666,26 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
       instance.  Falls back to a fresh checkpointed run when no journal
       exists yet.
 
-    I/O–compute overlap:
-
-    * ``prefetch_depth`` — stage up to this many upcoming READ blocks on
-      a background reader thread (0 = serial, the default);
-    * ``prefetch_budget_bytes`` — cap on staged-but-unconsumed bytes;
-      defaults to the memory cap minus the plan's predicted peak residency
-      (unbounded when no cap is set).
+    I/O–compute overlap: ``prefetch_depth`` stages up to this many
+    upcoming READ blocks on a background reader thread (0 = serial, the
+    default), holding no more staged-but-unconsumed bytes than the memory
+    cap leaves above the plan's predicted peak residency (unbounded when
+    no cap is set).
     """
     want_validation = validate is not False
     tolerance = float(validate) if not isinstance(validate, bool) else 0.0
-    eff_tracer = tracer if tracer is not None else obs_trace.CURRENT
-    if eff_tracer is None and want_validation:
+    tracer = obs_trace.CURRENT
+    scope = nullcontext()
+    if tracer is None and want_validation:
         # Validation joins against traced exec.io events, so it needs a bus;
         # a private in-memory one keeps the run's default footprint at zero.
-        eff_tracer = obs_trace.Tracer()
-    scope = obs_trace.use(eff_tracer) if eff_tracer is not obs_trace.CURRENT \
-        else nullcontext()
-    events_start = len(eff_tracer.events) if eff_tracer is not None else 0
+        tracer = obs_trace.Tracer()
+        scope = obs_trace.use(tracer)
+    events_start = len(tracer.events) if tracer is not None else 0
 
-    # Default prefetch budget: whatever headroom the memory cap leaves above
-    # the plan's predicted peak residency.  Staged bytes then never push a
-    # plan-exact run over the cap; an explicit budget overrides.
-    if prefetch_depth and prefetch_budget_bytes is None \
-            and memory_cap_bytes is not None:
+    # Staged bytes never push a plan-exact run over the cap.
+    prefetch_budget_bytes = None
+    if prefetch_depth and memory_cap_bytes is not None:
         prefetch_budget_bytes = max(0, memory_cap_bytes
                                     - plan.cost.memory_bytes)
 
@@ -710,7 +700,7 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
         report, outputs, _, exec_plan = run_job(
             program, params, plan, inputs, disk,
             journal_path=journal_path, resume=resume,
-            memory_cap_bytes=memory_cap_bytes, plan_exact=plan_exact,
+            pool=BufferPool(memory_cap_bytes), plan_exact=plan_exact,
             prefetch_depth=prefetch_depth,
             prefetch_budget_bytes=prefetch_budget_bytes)
 
@@ -720,7 +710,7 @@ def run_program(program: Program, params: Mapping[str, int], plan: Plan,
             note = ("opportunistic LRU mode: actual I/O may legally "
                     "undershoot the plan-exact prediction")
         report.validation = validate_cost(
-            exec_plan, eff_tracer.events[events_start:],
+            exec_plan, tracer.events[events_start:],
             io_model=disk.io_model,
             tolerance=tolerance, retries=report.io.retries,
             checksum_failures=report.io.checksum_failures, note=note)

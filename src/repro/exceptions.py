@@ -98,7 +98,7 @@ class JobCancelled(ServiceError):
 
 
 class DeadlineExceeded(JobCancelled):
-    """The job's deadline (``submit(timeout=/deadline=)``) passed before it
+    """The job's deadline (``submit(timeout=)``) passed before it
     finished; treated as a cancellation observed at the next checkpoint."""
 
 

@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :func:`optimize` / :class:`Optimizer` — full pipeline: analysis, Apriori
-  enumeration (Algorithm 2), FindSchedule (Algorithm 3), cost evaluation,
-  plan selection under a memory cap;
+* :func:`optimize` — full pipeline: analysis, Apriori enumeration
+  (Algorithm 2), FindSchedule (Algorithm 3), cost evaluation, plan
+  selection under a memory cap;
 * :class:`OptimizationResult`, :class:`Plan`, :class:`PlanCost`,
   :class:`IOModel`;
 * :func:`find_schedule`, :func:`enumerate_feasible_sets` — the algorithmic
@@ -18,7 +18,7 @@ from .costing import (IOModel, PlanCost, PlanTrace, collect_events,
                       evaluate_plan, trace_plan)
 from .find_schedule import enum_row, find_schedule
 from .describe import describe_plan, per_array_io
-from .optimizer import OptimizationResult, Optimizer, optimize
+from .optimizer import OptimizationResult, optimize
 from .parallel import ParallelOptimizerPool
 from .plan import Plan
 from .symbolic import (access_count_formula, opportunity_pair_formula,
@@ -26,7 +26,6 @@ from .symbolic import (access_count_formula, opportunity_pair_formula,
 
 __all__ = [
     "optimize",
-    "Optimizer",
     "OptimizationResult",
     "Plan",
     "PlanCost",

@@ -221,7 +221,6 @@ class PlanTrace:
 def trace_plan(program: Program, params: Mapping[str, int],
                schedule: Schedule,
                realized: Sequence[SharingOpportunity],
-               dead_write_elimination: bool = True,
                block_bytes: Mapping[str, int] | None = None) -> PlanTrace:
     """Annotate every access event with the plan's sharing decisions.
 
@@ -252,8 +251,7 @@ def trace_plan(program: Program, params: Mapping[str, int],
             held.append((early.time, late.time, es.block_key, es.bytes))
 
     _downgrade_unsound_write_saves(events)
-    if dead_write_elimination:
-        _elide_dead_writes(events)
+    _elide_dead_writes(events)
     return PlanTrace(events, held)
 
 
@@ -285,12 +283,10 @@ def evaluate_plan(program: Program, params: Mapping[str, int],
                   schedule: Schedule,
                   realized: Sequence[SharingOpportunity],
                   io_model: IOModel | None = None,
-                  dead_write_elimination: bool = True,
                   block_bytes: Mapping[str, int] | None = None) -> PlanCost:
     """Cost one plan: a schedule plus the sharing opportunities it realizes."""
     io_model = io_model or IOModel()
-    trace = trace_plan(program, params, schedule, realized,
-                       dead_write_elimination, block_bytes)
+    trace = trace_plan(program, params, schedule, realized, block_bytes)
     events, held = trace.events, trace.held
 
     baseline_reads = baseline_writes = read_bytes = write_bytes = elided = 0
@@ -482,16 +478,12 @@ class IOBound:
     def __init__(self, program: Program, params: Mapping[str, int],
                  io_model: IOModel,
                  opportunities: Sequence[SharingOpportunity],
-                 dead_write_elimination: bool = True,
                  block_bytes: Mapping[str, int] | None = None):
         self.io_model = io_model
         self.savings = {o.index: opportunity_savings_seconds_bound(
             o, params, io_model, block_bytes) for o in opportunities
             if o.reduced}
-        # With dead-write elimination off no write can be elided, so the
-        # tighter (larger) bound with nothing elidable is the correct one.
-        self.elidable = (elidable_write_bytes(program, params, block_bytes)
-                         if dead_write_elimination else 0)
+        self.elidable = elidable_write_bytes(program, params, block_bytes)
 
     def __call__(self, baseline: PlanCost, idx_set=None) -> float:
         realized = self.savings if idx_set is None else idx_set

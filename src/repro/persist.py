@@ -4,11 +4,13 @@ The §5.4 Remark's workflow: "schedule search and evaluation need to be done
 only once for a given program template; should the parameters change, we can
 simply plug the new values in".  A saved plan stores the schedule (affine
 rows per statement), the labels of the realized sharing opportunities and
-the costing knobs the search used (``block_bytes``,
-``dead_write_elimination``); loading re-attaches it to a freshly analyzed
-program and re-costs it for the current parameters under those knobs —
-nothing numeric is trusted from the file.  An entry saved without the knobs
-is re-costed with the defaults.
+the ``block_bytes`` override the search costed under; loading re-attaches
+it to a freshly analyzed program and re-costs it for the current
+parameters under that override — nothing numeric is trusted from the
+file.  An entry saved without it is re-costed at the arrays' own block
+sizes.  Files written while dead-write elimination was a knob also carry a
+``dead_write_elimination`` entry, which loading ignores: every plan is
+costed with dead writes elided.
 """
 
 from __future__ import annotations
@@ -46,17 +48,15 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 
 def save_plan(path: str | Path, plan: Plan, program: Program,
-              block_bytes: Mapping[str, int] | None = None,
-              dead_write_elimination: bool = True) -> None:
+              block_bytes: Mapping[str, int] | None = None) -> None:
     """Write the plan's schedule, realized-opportunity labels and the
-    costing knobs it was costed under to JSON."""
+    ``block_bytes`` it was costed under to JSON."""
     payload = {
         "format": "repro-plan-v1",
         "program": program.name,
         "realized": plan.realized_labels,
         "schedule": schedule_to_dict(plan.schedule),
-        "costing": {"block_bytes": dict(block_bytes) if block_bytes else None,
-                    "dead_write_elimination": bool(dead_write_elimination)},
+        "costing": {"block_bytes": dict(block_bytes) if block_bytes else None},
     }
     Path(path).write_text(json.dumps(payload, indent=2))
 
@@ -68,8 +68,8 @@ def load_plan(path: str | Path, program: Program, analysis: ProgramAnalysis,
 
     The realized opportunities are looked up by label in ``analysis``; a
     label that no longer resolves (the program changed) raises.  Costs are
-    recomputed for ``params`` under the saved costing knobs — stale numbers
-    cannot leak in, and the cost is the one the search saw.
+    recomputed for ``params`` under the saved ``block_bytes`` — stale
+    numbers cannot leak in, and the cost is the one the search saw.
     """
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "repro-plan-v1":
@@ -83,9 +83,7 @@ def load_plan(path: str | Path, program: Program, analysis: ProgramAnalysis,
         if stmt.name not in schedule.rows:
             raise ReproError(f"{path}: no schedule rows for statement {stmt.name}")
     realized = [analysis.opportunity(label) for label in payload["realized"]]
-    costing = payload.get("costing", {})
     cost = evaluate_plan(
         program, params, schedule, realized, io_model,
-        dead_write_elimination=costing.get("dead_write_elimination", True),
-        block_bytes=costing.get("block_bytes"))
+        block_bytes=payload.get("costing", {}).get("block_bytes"))
     return Plan(-1, schedule, realized, cost)

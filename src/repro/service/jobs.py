@@ -67,8 +67,10 @@ class JobSpec:
     ``seeds`` optionally overrides the base ``seed`` per input array —
     ``{"D": 7}`` gives every job a distinct D while A and B stay shared.
     ``count`` repeats the job (expanded into distinct job names).
-    ``timeout``, ``retries`` (``None``: the service default), ``checkpoint``
-    and ``resume`` go to :meth:`~repro.service.ArrayService.submit`.
+    ``timeout``, ``retries`` (``None``: no deadline, no retry; ``repro
+    serve`` fills them from ``--deadline`` / ``--job-retries``),
+    ``checkpoint`` and ``resume`` go to
+    :meth:`~repro.service.ArrayService.submit`.
 
     Two runtime-only fields support applied materialization and are
     neither read from nor written to a job file: ``program_obj`` (an
@@ -290,12 +292,8 @@ def submit_job(svc, job: JobSpec, produced: Mapping[str, dict] | None = None):
     """Submit ``job`` to ``svc``, an :class:`~repro.service.ArrayService`,
     with its inputs and per-job fields; returns the job's handle."""
     program = job.build_program()
-    overrides = {}
-    if job.timeout is not None:
-        overrides["timeout"] = job.timeout
-    if job.retries is not None:
-        overrides["retry"] = job.retries
     return svc.submit(program, job.params, job.inputs(program, produced),
                       name=job.name, memory_cap_bytes=job.memory_cap,
                       plan_exact=job.plan_exact, checkpoint=job.checkpoint,
-                      resume=job.resume, **overrides)
+                      resume=job.resume, timeout=job.timeout,
+                      retry=job.retries)

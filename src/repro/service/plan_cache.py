@@ -30,7 +30,7 @@ third under the program's structure:
   analysis's opportunities and the feasible ``(set, schedule)`` list, in
   test order.  Block geometry enters only the costing, so on a fingerprint
   miss for a known program at a new block size
-  :meth:`~repro.optimizer.Optimizer.optimize` analyzes the program and
+  :func:`~repro.optimizer.optimize` analyzes the program and
   re-costs that list instead of walking the lattice again (when the
   opportunities match; otherwise it searches cold and replaces the entry).
   A bound-pruned walk skips costings and can stop early, so it neither
@@ -135,8 +135,17 @@ def optimization_fingerprint(program: Program, params: Mapping[str, int],
                              memory_cap_bytes: int | None = None,
                              io_model: IOModel | None = None,
                              **knobs) -> str:
-    """SHA-256 over everything that determines the optimizer's best plan."""
+    """SHA-256 over everything that determines the optimizer's best plan.
+
+    ``knobs`` are :func:`~repro.optimizer.optimize`'s search and costing
+    arguments that shape the plan (``max_set_size``, ``max_candidates``,
+    ``block_bytes``); ``None`` values are left out.  The payload always
+    carries ``dead_write_elimination: true``, a constant of the format
+    since elimination stopped being optional, so fingerprints made before
+    then still match (a caller passing the old knob gets the same key).
+    """
     model = io_model or IOModel()
+    knobs = {**knobs, "dead_write_elimination": True}
     payload = {
         "program": _program_signature(program),
         "bindings": {k: int(v) for k, v in sorted(params.items())},
@@ -328,15 +337,13 @@ class PlanCache(obs_metrics.StatFields):
         ``analysis`` the plan was costed against, the pair also enters the
         memory tier, so the next lookup need not re-derive it (without a
         root, nothing else keeps it).  ``knobs`` are the search's
-        (as for :func:`optimization_fingerprint`); the costing ones are
-        saved so a disk load re-costs under them."""
+        (as for :func:`optimization_fingerprint`); ``block_bytes`` is
+        saved so a disk load re-costs under it."""
         path = self.path_for(fingerprint)
         signature = None
         if path is not None:
             tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            save_plan(tmp, plan, program, block_bytes=knobs.get("block_bytes"),
-                      dead_write_elimination=knobs.get("dead_write_elimination",
-                                                       True))
+            save_plan(tmp, plan, program, block_bytes=knobs.get("block_bytes"))
             # Of the file this call wrote — rename keeps inode, size and mtime
             # — not of whatever a concurrent writer renamed over it afterwards.
             signature = _stat_signature(tmp)

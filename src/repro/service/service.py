@@ -41,7 +41,7 @@ atomic-write protection, and each job may checkpoint to its own journal
 
 Resilience (see :mod:`repro.service.resilience` and docs/service.md):
 
-* ``submit(timeout=/deadline=)`` attaches a deadline; the returned
+* ``submit(timeout=)`` attaches a deadline; the returned
   :class:`JobHandle` supports cooperative :meth:`JobHandle.cancel` — both
   surface as typed :class:`~repro.exceptions.DeadlineExceeded` /
   :class:`~repro.exceptions.JobCancelled` at the job's next checkpoint
@@ -75,7 +75,7 @@ from ..exceptions import (AdmissionRejected, AdmissionTimeout,
 from ..ir import ArrayKind, Program
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..optimizer import Optimizer
+from ..optimizer import optimize
 from ..optimizer.plan import Plan
 from ..storage import BufferPool, DAFMatrix, DatasetCatalog, make_disk
 from .plan_cache import PlanCache, optimization_fingerprint
@@ -293,9 +293,7 @@ class ArrayService:
                  max_set_size: int | None = None,
                  max_candidates: int | None = None,
                  prefetch_depth: int = 0,
-                 degrade: "DegradePolicy | bool | None" = None,
-                 job_timeout: float | None = None,
-                 job_retry: "JobRetryPolicy | int | None" = None):
+                 degrade: "DegradePolicy | bool | None" = None):
         """``workdir`` is a directory or a disk from
         :func:`~repro.storage.make_disk`, which holds every storage
         setting; the service owns the disk and closes it on shutdown.
@@ -324,10 +322,6 @@ class ArrayService:
         self.max_set_size = max_set_size
         self.max_candidates = max_candidates
         self.prefetch_depth = int(prefetch_depth)
-        self.job_timeout = job_timeout
-        if isinstance(job_retry, int):
-            job_retry = JobRetryPolicy(max_attempts=job_retry)
-        self.job_retry = job_retry
         self.stats = ServiceStats()
 
         self._executor = ThreadPoolExecutor(workers,
@@ -420,9 +414,8 @@ class ArrayService:
                resume: bool = False,
                admission_timeout: "float | None" = _UNSET,
                prefetch_depth: int | None = None,
-               timeout: "float | None" = _UNSET,
-               deadline: float | None = None,
-               retry: "JobRetryPolicy | int | None" = _UNSET
+               timeout: float | None = None,
+               retry: "JobRetryPolicy | int | None" = None
                ) -> "JobHandle":
         """Queue one job; returns a :class:`JobHandle` (a Future of
         :class:`JobResult`).
@@ -440,18 +433,14 @@ class ArrayService:
         Resilience knobs:
 
         * ``timeout`` — whole-job deadline, seconds from now (planning +
-          admission wait + every execution attempt); ``deadline`` is the
-          absolute :func:`time.monotonic` equivalent (the earlier of the
-          two wins).  Expiry surfaces as
+          admission wait + every execution attempt); ``None``, the
+          default, sets none.  Expiry surfaces as
           :class:`~repro.exceptions.DeadlineExceeded` from the future.
         * ``retry`` — a :class:`~repro.service.JobRetryPolicy` (or an int,
           shorthand for ``JobRetryPolicy(max_attempts=N)``): transient
           storage failures re-execute through the checkpoint journal,
           resuming from the last consistent instance.  Attaching a policy
-          forces ``checkpoint=True``.
-
-        Both default to the service-level ``job_timeout`` / ``job_retry``;
-        pass ``None`` explicitly to opt a job out.
+          forces ``checkpoint=True``; ``None``, the default, never retries.
         """
         # Overload shedding happens before any state is reserved — and
         # before self._lock, because the health controller reads _pending
@@ -462,16 +451,9 @@ class ArrayService:
                 f"service is shedding load: {self.health.backlog()} jobs "
                 f"in flight (policy sheds at "
                 f"{self.health.policy.shed_backlog})")
-        if retry is _UNSET:
-            retry = self.job_retry
-        elif isinstance(retry, int):
+        if isinstance(retry, int):
             retry = JobRetryPolicy(max_attempts=retry)
-        if timeout is _UNSET:
-            timeout = self.job_timeout
-        dl = deadline
-        if timeout is not None:
-            t = time.monotonic() + timeout
-            dl = t if dl is None else min(dl, t)
+        dl = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shut down")
@@ -626,15 +608,15 @@ class ArrayService:
 
     def _fingerprint(self, job: _Job) -> str:
         """The plan-cache key of ``job`` — the knobs are exactly those
-        :meth:`Optimizer.optimize` keys the cache with when this service
-        plans, so the value names the job's ``<fingerprint>.json``."""
+        :func:`~repro.optimizer.optimize` keys the cache with when this
+        service plans, so the value names the job's
+        ``<fingerprint>.json``."""
         cap = job.memory_cap_bytes if job.memory_cap_bytes is not None \
             else self.memory_cap_bytes
         return optimization_fingerprint(
             job.program, job.params, cap, self.io_model,
             max_set_size=self.max_set_size,
-            max_candidates=self.max_candidates,
-            dead_write_elimination=True, block_bytes=None)
+            max_candidates=self.max_candidates)
 
     def _plan_job(self, job: _Job) -> tuple[Plan, bool, float, str | None]:
         """``(plan, cache hit?, planning seconds, fingerprint)``; the
@@ -643,13 +625,13 @@ class ArrayService:
             return job.plan, False, 0.0, None
         cap = job.memory_cap_bytes if job.memory_cap_bytes is not None \
             else self.memory_cap_bytes
-        opt = Optimizer(job.program, self.io_model)
         if self.health.plan_cache_only():
-            return self._plan_degraded(job, opt, cap)
-        result = opt.optimize(job.params, memory_cap_bytes=cap,
-                              max_set_size=self.max_set_size,
-                              max_candidates=self.max_candidates,
-                              plan_cache=self.plan_cache)
+            return self._plan_degraded(job, cap)
+        result = optimize(job.program, job.params, io_model=self.io_model,
+                          memory_cap_bytes=cap,
+                          max_set_size=self.max_set_size,
+                          max_candidates=self.max_candidates,
+                          plan_cache=self.plan_cache)
         try:
             plan = result.best(cap)
         except OptimizationError as err:
@@ -657,7 +639,7 @@ class ArrayService:
                 f"no plan for {job.program.name} fits {cap} bytes") from err
         return plan, result.cache_hit, result.seconds, result.fingerprint
 
-    def _plan_degraded(self, job: _Job, opt: Optimizer, cap: int
+    def _plan_degraded(self, job: _Job, cap: int
                        ) -> tuple[Plan, bool, float, str | None]:
         """Plan-cache-only planning under queue pressure.
 
@@ -679,8 +661,8 @@ class ArrayService:
             return cached[0], True, time.monotonic() - t0, fingerprint
         obs_trace.instant("service.degraded_plan", "service",
                           job=job.key, source="original")
-        result = opt.optimize(job.params, memory_cap_bytes=cap,
-                              max_set_size=0)
+        result = optimize(job.program, job.params, io_model=self.io_model,
+                          memory_cap_bytes=cap, max_set_size=0)
         try:
             plan = result.best(cap)
         except OptimizationError as err:

@@ -7,7 +7,7 @@ from repro.codegen import build_executable_plan
 from repro.engine import execute_plan, run_program
 from repro.exceptions import ExecutionError, StorageError
 from repro.optimizer import IOModel, optimize
-from repro.storage import DAFMatrix, SimulatedDisk
+from repro.storage import BufferPool, DAFMatrix, SimulatedDisk
 from tests.fixtures import example1_program
 
 P = {"n1": 2, "n2": 2, "n3": 1}
@@ -91,7 +91,7 @@ class TestOpportunisticMode:
         ep, stores, disk, cap = self._tight_cap_setup(
             prog, result, inputs, tmp_path, write_through=True)
         with disk:
-            report = execute_plan(ep, stores, disk, memory_cap_bytes=cap,
+            report = execute_plan(ep, stores, disk, pool=BufferPool(cap),
                                   plan_exact=False)
             outputs = stores["E"].read_matrix(count=False)
         truth = (inputs["A"] + inputs["B"]) @ inputs["D"]
@@ -112,7 +112,7 @@ class TestOpportunisticMode:
             pytest.skip("best plan has no WRITE_SKIP")
         with disk:
             with pytest.raises(ExecutionError, match="never written to disk"):
-                execute_plan(ep, stores, disk, memory_cap_bytes=cap,
+                execute_plan(ep, stores, disk, pool=BufferPool(cap),
                              plan_exact=False)
 
 
@@ -176,7 +176,7 @@ class TestMemoryOnlyBookkeeping:
         disk, stores, cap, data = self._setup(tmp_path)
         plan = self._instances(include_write_back=True)
         with disk:
-            report = execute_plan(plan, stores, disk, memory_cap_bytes=cap,
+            report = execute_plan(plan, stores, disk, pool=BufferPool(cap),
                                   plan_exact=False)
             out = stores["E"].read_block((0, 0), count=False)
         assert np.array_equal(out, data)
@@ -192,7 +192,7 @@ class TestMemoryOnlyBookkeeping:
         plan = self._instances(include_write_back=False)
         with disk:
             with pytest.raises(ExecutionError, match="never written to disk"):
-                execute_plan(plan, stores, disk, memory_cap_bytes=cap,
+                execute_plan(plan, stores, disk, pool=BufferPool(cap),
                              plan_exact=False)
 
 
@@ -264,9 +264,9 @@ class TestTraceNesting:
         tracer = obs_trace.Tracer()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(executor, "run_kernel", flaky)
-            with pytest.raises(ExecutionError, match="boom"):
-                run_program(prog, P, result.best(), tmp_path, inputs,
-                            tracer=tracer)
+            with pytest.raises(ExecutionError, match="boom"), \
+                    obs_trace.use(tracer):
+                run_program(prog, P, result.best(), tmp_path, inputs)
 
         stacks = {}
         for ev in tracer.events:

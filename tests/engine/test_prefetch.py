@@ -92,11 +92,12 @@ class TestByteExactEveryDepth:
 class TestBudget:
     def test_zero_budget_degrades_to_serial(self, prog, best, inputs, truth,
                                             tmp_path):
-        """A budget of 0 stages nothing: every read falls to the main
-        thread, and the run is still correct and byte-exact."""
+        """A budget of 0 (a cap with no headroom above the plan's
+        residency) stages nothing: every read falls to the main thread,
+        and the run is still correct and byte-exact."""
         report, outputs = run_program(prog, P, best, tmp_path, inputs,
-                                      prefetch_depth=4,
-                                      prefetch_budget_bytes=0)
+                                      memory_cap_bytes=best.cost.memory_bytes,
+                                      prefetch_depth=4)
         assert np.allclose(outputs["E"], truth)
         assert report.io.read_bytes == best.cost.read_bytes
         st = report.prefetch

@@ -1,6 +1,6 @@
 """The public knob inventory, pinned.
 
-Every parameter of the job-running entry points, every slot of the specs
+Every parameter of the planning and job-running entry points, every slot of the specs
 that carry a job or a workload between layers, and every ``repro serve``
 flag is listed here.  Adding, removing or renaming a knob is a design
 change, so it has to show up as an edit to this file.
@@ -17,30 +17,33 @@ import pytest
 
 from repro.advisor import AdvisorConfig
 from repro.engine.executor import execute_plan, run_job, run_program
+from repro.optimizer import optimize
 from repro.service import ArrayService, JobSpec
 from repro.storage import make_disk
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 INVENTORY = {
+    "optimize": """
+        program params io_model memory_cap_bytes max_set_size max_candidates
+        block_bytes workers plan_cache prune""",
     "run_program": """
         program params plan workdir inputs memory_cap_bytes plan_exact
-        checkpoint resume tracer validate prefetch_depth
-        prefetch_budget_bytes""",
+        checkpoint resume validate prefetch_depth""",
     "run_job": """
         program params plan inputs disk names catalog breaker_for
-        journal_path resume pool memory_cap_bytes plan_exact prefetch_depth
+        journal_path resume pool plan_exact prefetch_depth
         prefetch_budget_bytes cancel""",
     "execute_plan": """
-        plan stores disk memory_cap_bytes plan_exact journal resume pool
+        plan stores disk plan_exact journal resume pool
         prefetch_depth prefetch_budget_bytes cancel""",
     "ArrayService.__init__": """
         workdir memory_cap_bytes workers plan_cache max_pending
-        admission_timeout max_set_size max_candidates prefetch_depth degrade
-        job_timeout job_retry""",
+        admission_timeout max_set_size max_candidates prefetch_depth
+        degrade""",
     "ArrayService.submit": """
         program params inputs name memory_cap_bytes plan plan_exact
-        checkpoint resume admission_timeout prefetch_depth timeout deadline
+        checkpoint resume admission_timeout prefetch_depth timeout
         retry""",
     "make_disk": """
         root shards io_model fault_injector fault_injectors retry
@@ -77,6 +80,7 @@ def _serve_flags():
 
 
 ACTUAL = {
+    "optimize": lambda: _params(optimize),
     "run_program": lambda: _params(run_program),
     "run_job": lambda: _params(run_job),
     "execute_plan": lambda: _params(execute_plan),

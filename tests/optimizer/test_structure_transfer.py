@@ -172,11 +172,9 @@ class TestWhatMisses:
 
     def test_costing_knobs_and_cap_do_not_miss(self, warm):
         r = optimize(example1_program(30, 20), P, memory_cap_bytes=1 << 30,
-                     dead_write_elimination=False,
                      block_bytes={"A": 8}, plan_cache=warm)
         assert not _searched(r) and warm.structure_hits == 1
-        cold = optimize(example1_program(30, 20), P,
-                        dead_write_elimination=False, block_bytes={"A": 8})
+        cold = optimize(example1_program(30, 20), P, block_bytes={"A": 8})
         assert _plan_rows(r) == _plan_rows(cold)
 
     def test_changed_opportunities_search_cold_and_replace(self, warm):

@@ -106,10 +106,10 @@ class TestSubmit:
                               "plan_exact": True, "checkpoint": True,
                               "resume": True, "timeout": 2.5, "retry": 3}
 
-    def test_unset_timeout_and_retries_keep_the_service_defaults(self):
+    def test_unset_timeout_and_retries_pass_as_none(self):
         svc = _RecordingService()
         submit_job(svc, JobSpec("add_multiply", P, name="a"))
-        assert "timeout" not in svc.kwargs and "retry" not in svc.kwargs
+        assert svc.kwargs["timeout"] is None and svc.kwargs["retry"] is None
 
 
 class TestServe:
@@ -143,6 +143,47 @@ class TestServe:
         p.write_text(LINE + ', "bogus": 1}\n')
         with pytest.raises(SystemExit, match=r"jobs\.jsonl:1: unknown"):
             main(["serve", str(p)])
+
+
+class TestServeDefaults:
+    """``--deadline`` / ``--job-retries`` fill the lines that set no
+    ``timeout`` / ``retries``; a line's own value wins."""
+
+    def _serve(self, tmp_path, lines, *flags) -> int:
+        p = tmp_path / "jobs.jsonl"
+        p.write_text("".join(LINE + f', "name": "{name}"{extra}}}\n'
+                             for name, extra in lines))
+        return main(["serve", str(p), "--service-workers", "1",
+                     "--workdir", str(tmp_path / "w"), *flags])
+
+    def test_deadline_fails_every_line_but_one_with_a_timeout(
+            self, tmp_path, capsys):
+        rc = self._serve(tmp_path, [("a", ""), ("b", ', "timeout": 60'),
+                                    ("c", ', "seed": 1')],
+                         "--deadline", "1e-9")
+        out = capsys.readouterr().out
+        verdicts = {ln.split(":")[0][4:]: ln for ln in out.splitlines()
+                    if ln.startswith("job ")}
+        assert rc == 1
+        for name in ("a", "c"):
+            assert "CANCELLED (DeadlineExceeded" in verdicts[name]
+        assert verdicts["b"].startswith("job b: plan #")
+        assert "1/3 jobs completed" in out
+
+    def test_job_retries_fill_lines_without_retries(self, tmp_path,
+                                                    monkeypatch, capsys):
+        seen = {}
+        real = ArrayService.submit
+
+        def recording(self, program, params, inputs, **kwargs):
+            seen[kwargs["name"]] = (kwargs["retry"], kwargs["timeout"])
+            return real(self, program, params, inputs, **kwargs)
+
+        monkeypatch.setattr(ArrayService, "submit", recording)
+        rc = self._serve(tmp_path, [("a", ""), ("b", ', "retries": 1')],
+                         "--job-retries", "3")
+        assert rc == 0
+        assert seen == {"a": (3, None), "b": (1, None)}
 
 
 def _record_inputs(monkeypatch) -> dict:

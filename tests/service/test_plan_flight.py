@@ -1,6 +1,6 @@
 """Concurrent misses of one fingerprint run one search.
 
-``Optimizer.optimize`` takes the plan cache's per-fingerprint flight after
+``optimize()`` takes the plan cache's per-fingerprint flight after
 a miss and looks up again before it searches, so a second caller waits
 for the first one's search and then hits what it stored.
 """

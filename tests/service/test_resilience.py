@@ -62,17 +62,9 @@ class TestDeadlines:
             assert svc.stats.jobs_cancelled == 0
             assert svc.admitted_bytes() == 0
 
-    def test_absolute_deadline_equivalent(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP) as svc:
-            h = svc.submit(prog, P, _inputs(prog, 0),
-                           deadline=time.monotonic() - 1.0)
-            with pytest.raises(DeadlineExceeded):
-                h.result(timeout=60)
-
     def test_service_default_timeout_applies(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP,
-                          job_timeout=1e-6) as svc:
-            h = svc.submit(prog, P, _inputs(prog, 0))
+        with ArrayService(tmp_path, memory_cap_bytes=CAP) as svc:
+            h = svc.submit(prog, P, _inputs(prog, 0), timeout=1e-6)
             with pytest.raises(DeadlineExceeded):
                 h.result(timeout=60)
 
@@ -198,20 +190,18 @@ class TestRetryWithResume:
             assert svc.stats.jobs_failed == 1
 
     def test_permanent_error_not_retried(self, prog, tmp_path):
-        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1,
-                          job_retry=3) as svc:
+        with ArrayService(tmp_path, memory_cap_bytes=CAP, workers=1) as svc:
             with pytest.raises(ServiceError):
                 # Missing inputs is permanent: retrying cannot help.
-                svc.submit(prog, P, {}).result(timeout=120)
+                svc.submit(prog, P, {}, retry=3).result(timeout=120)
             assert svc.stats.retries_attempted == 0
 
     def test_service_default_retry_applies(self, prog, tmp_path):
         with ArrayService(make_disk(tmp_path,
                                     fault_injector=self._probe_injector()),
-                          memory_cap_bytes=CAP, workers=1,
-                          job_retry=3) as svc:
-            r = svc.submit(prog, P, _inputs(prog, 0),
-                           name="probe").result(timeout=120)
+                          memory_cap_bytes=CAP, workers=1) as svc:
+            r = svc.submit(prog, P, _inputs(prog, 0), name="probe",
+                           retry=3).result(timeout=120)
             assert r.attempts == 2
 
 

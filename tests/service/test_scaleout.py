@@ -115,11 +115,11 @@ class TestRunnerParity:
                                                         best_plan, tmp_path):
         inputs = _inputs(prog, 0)
         del inputs["B"]
-        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP, workers=1,
-                          job_retry=3) as svc:
+        with ArrayService(tmp_path, memory_cap_bytes=4 * CAP,
+                          workers=1) as svc:
             with pytest.raises(ServiceError) as err:
-                svc.submit(prog, P, inputs, plan=best_plan).result(
-                    timeout=180)
+                svc.submit(prog, P, inputs, plan=best_plan,
+                           retry=3).result(timeout=180)
             assert type(err.value) is ServiceError
             assert classify_error(err.value) != "transient"
             assert svc.stats.retries_attempted == 0
